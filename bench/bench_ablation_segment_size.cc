@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md E8): how the segment size — the paper fixes it at
+// Ablation: how the segment size — the paper fixes it at
 // 32 MB (§4) — trades off migration granularity against per-segment
 // overhead. Smaller segments mean shorter per-segment partition locks
 // (writers drain faster) but more tasks, catalog churn, and per-move

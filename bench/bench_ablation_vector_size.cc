@@ -1,5 +1,5 @@
-// Ablation (DESIGN.md E9): remote-operator record throughput as a function
-// of the vector (batch) size of the volcano operators — the knob behind the
+// Ablation: remote-operator record throughput as a function of the vector
+// (batch) size of the volcano operators — the knob behind the
 // paper's Fig. 1 jump from <1k records/s (single-record next() calls) to
 // ~24k (vectorized) and ~30k (buffered prefetch).
 

@@ -3,7 +3,8 @@
 // Two experiments on a Zipf-skewed KV workload:
 //
 //   sweep — lanes/node 1 -> 8 at a fixed offered load, with the segment
-//           index as an ablation axis (B+-tree vs hash). One lane is the
+//           index as an ablation axis (B+-tree vs hash). A lane is a core,
+//           so the sweep sets the node's core count. One lane is the
 //           serial baseline; per-node throughput should multiply until the
 //           offered load is met, because each lane is an independent
 //           execution timeline and batches fan out per lane.
@@ -55,18 +56,17 @@ workload::KvConfig KvCfg(const LaneSetup& s, double qps) {
   return cfg;
 }
 
-lanes::LanePolicy Lanes(int per_node, bool balance) {
+lanes::LanePolicy Lanes(bool balance) {
   lanes::LanePolicy lp;
   lp.enabled = true;
-  lp.lanes_per_node = per_node;
   lp.balance_lanes = balance;
   lp.lane_trigger_ratio = 1.3;
   lp.relane_cooldown = 4 * kUsPerSec;
   return lp;
 }
 
-DbOptions BaseOptions(const LaneSetup& s) {
-  (void)s;
+/// `lanes_per_node` lanes: one per core.
+DbOptions BaseOptions(int lanes_per_node) {
   DbOptions options = DbOptions()
                           .WithNodes(4)
                           .WithActiveNodes(4)
@@ -77,6 +77,7 @@ DbOptions BaseOptions(const LaneSetup& s) {
   // multiply — is the bottleneck, not disks or network.
   options.cluster.costs.cpu_record_read_us = 300;
   options.cluster.costs.cpu_record_write_us = 600;
+  options.cluster.node_hw.cpu_cores = lanes_per_node;
   return options;
 }
 
@@ -107,9 +108,8 @@ struct SweepResult {
 SweepResult RunSweepArm(const LaneSetup& s, int lanes_per_node,
                         index::IndexKind kind, JsonReporter* json,
                         const std::string& prefix) {
-  DbOptions options = BaseOptions(s)
-                          .WithLanePolicy(Lanes(lanes_per_node,
-                                                /*balance=*/false))
+  DbOptions options = BaseOptions(lanes_per_node)
+                          .WithLanePolicy(Lanes(/*balance=*/false))
                           .WithIndexKind(kind);
   auto opened = Db::Open(options);
   Db& db = MustOpen(opened);
@@ -156,8 +156,8 @@ struct RebalResult {
 
 RebalResult RunRebalArm(const LaneSetup& s, bool intra, JsonReporter* json,
                         const std::string& prefix) {
-  DbOptions options = BaseOptions(s)
-                          .WithLanePolicy(Lanes(4, /*balance=*/intra))
+  DbOptions options = BaseOptions(/*lanes_per_node=*/4)
+                          .WithLanePolicy(Lanes(/*balance=*/intra))
                           .WithMasterLoop(RebalPolicy());
   auto opened = Db::Open(options);
   Db& db = MustOpen(opened);
@@ -178,7 +178,7 @@ RebalResult RunRebalArm(const LaneSetup& s, bool intra, JsonReporter* json,
     }
   }
   for (storage::Segment* seg : db.cluster().segments().SegmentsOn(hot)) {
-    db.cluster().lanes().Relane(seg, 0);
+    seg->set_lane(0);
   }
   const SimTime stacked_at = db.Now();
 

@@ -25,7 +25,10 @@ any regression or missing file/metric.
 
 The benches run on simulated time, so the numbers are deterministic across
 machines — the 25% default margin absorbs intentional small recalibrations,
-not noise.
+not noise. Because of that determinism, any change at all in a metric other
+than wall_clock_ms (the one real-time number) gets the status "drift" and is
+counted, so a refactor that claims "simulated baselines bit-identical" can be
+checked at a glance. Drift is reported, never gated.
 
 When running under GitHub Actions (GITHUB_STEP_SUMMARY is set), the same
 comparison is appended to the job's step summary as a markdown table, so a
@@ -66,6 +69,20 @@ def metric_map(doc: dict, path: Path) -> dict:
     return {m["name"]: m for m in metrics}
 
 
+# The one metric measured in real time; every other value is simulated.
+WALL_CLOCK = "wall_clock_ms"
+
+
+def drift_line(rows) -> str:
+    """One sentence counting simulated metrics that differ at all."""
+    drifted = sum(1 for r in rows if r[6] in ("drift", "REGRESSED"))
+    if drifted:
+        return (f"{drifted} simulated metric(s) drifted from their baselines "
+                f"(any change; {WALL_CLOCK} excluded).")
+    return (f"No simulated metric drifted: all bit-identical to baselines "
+            f"({WALL_CLOCK} excluded).")
+
+
 def write_step_summary(rows, failures, warnings, threshold) -> None:
     """Mirror the comparison into the GitHub job's step summary, if any."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
@@ -80,6 +97,7 @@ def write_step_summary(rows, failures, warnings, threshold) -> None:
     else:
         lines += [f"All gated metrics within {threshold:.0%} of baselines.",
                   ""]
+    lines += [drift_line(rows), ""]
     lines += ["| metric | dir | baseline | current | delta | status |",
               "|---|---|---:|---:|---:|---|"]
     for bench, name, direction, old, new, delta, status in rows:
@@ -218,8 +236,12 @@ def main() -> int:
                 regressed = new < old * (1.0 - args.threshold)
             elif direction == "lower":
                 regressed = new > old * (1.0 + args.threshold)
-            status = "REGRESSED" if regressed else (
-                "info" if direction == "info" else "ok")
+            if regressed:
+                status = "REGRESSED"
+            elif new != old and name != WALL_CLOCK:
+                status = "drift"
+            else:
+                status = "info" if direction == "info" else "ok"
             rows.append((base_path.name.replace("BENCH_", "").replace(
                 ".json", ""), name, direction, old, new, delta, status))
             if regressed:
@@ -240,6 +262,8 @@ def main() -> int:
         new_s = f"{new:g}" if new is not None else "-"
         print(f"{bench + '/' + name:<{width}} {direction:>6} {old_s:>12} "
               f"{new_s:>12} {delta:>+7.1%}  {status}")
+
+    print(f"\n{drift_line(rows)}")
 
     if warnings:
         print(f"\n{len(warnings)} warning(s):", file=sys.stderr)

@@ -171,14 +171,15 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         "AdmissionPolicy.overload_trigger_after must be >= 1, got " +
         std::to_string(ap.overload_trigger_after));
   }
+  // One core per lane: the core count is the lane count.
+  if (options.cluster.node_hw.cpu_cores < 1) {
+    return Status::InvalidArgument(
+        "node_hw.cpu_cores must be >= 1, got " +
+        std::to_string(options.cluster.node_hw.cpu_cores));
+  }
   // LanePolicy is validated even when disabled, for the same reason as
   // BalancePolicy above.
   const lanes::LanePolicy& lp = options.cluster.lanes;
-  if (lp.lanes_per_node < 1) {
-    return Status::InvalidArgument(
-        "LanePolicy.lanes_per_node must be >= 1, got " +
-        std::to_string(lp.lanes_per_node));
-  }
   if (lp.lane_trigger_ratio <= 1.0) {
     return Status::InvalidArgument(
         "LanePolicy.lane_trigger_ratio must be > 1, got " +

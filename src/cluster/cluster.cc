@@ -8,8 +8,7 @@ namespace wattdb::cluster {
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config), events_(&clock_), network_(config.network),
-      power_model_(config.power), lanes_(config.lanes, config.num_nodes),
-      rng_(config.seed) {
+      power_model_(config.power), rng_(config.seed) {
   WATTDB_CHECK(config.num_nodes >= 1);
   WATTDB_CHECK(config.initially_active >= 1);
   segments_.set_index_kind(config.index_kind);
@@ -19,9 +18,8 @@ Cluster::Cluster(const ClusterConfig& config)
     network_.AddNode(id);
     auto node = std::make_unique<Node>(
         id, config.node_hw, config.buffer, config.costs, config.cc,
-        DiskId(static_cast<uint32_t>(i * disks_per_node)), &segments_, &tm_,
-        &network_, [this](DiskId d) { return FindDisk(d); });
-    node->set_lane_manager(&lanes_);
+        config.lanes.enabled, DiskId(static_cast<uint32_t>(i * disks_per_node)),
+        &segments_, &tm_, &network_, [this](DiskId d) { return FindDisk(d); });
     node->set_route_bound_fn([this](TableId table, Key key) {
       const auto entry = catalog_.Route(table, key);
       return entry.has_value() ? entry->range : KeyRange{kMinKey, kMaxKey};
@@ -214,7 +212,6 @@ void Cluster::SampleTick() {
   // enough history for the master's monitoring windows.
   const SimTime keep_from = now - 30 * kUsPerSec;
   for (auto& n : nodes_) n->hardware().Prune(keep_from);
-  lanes_.Prune(keep_from);
   network_.Prune(keep_from);
   tm_.locks().Prune(last_sample_);
   if (auto_vacuum_) tm_.Vacuum();

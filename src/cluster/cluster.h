@@ -15,7 +15,7 @@
 #include "hw/network.h"
 #include "hw/power.h"
 #include "index/record_index.h"
-#include "lanes/lane_manager.h"
+#include "lanes/lane_policy.h"
 #include "metrics/time_series.h"
 #include "sim/clock.h"
 #include "sim/event_queue.h"
@@ -68,9 +68,6 @@ class Cluster {
   const admission::AdmissionController& admission() const {
     return admission_;
   }
-  /// Per-node worker lanes (no-op shell when the lane policy is off).
-  lanes::LaneManager& lanes() { return lanes_; }
-  const lanes::LaneManager& lanes() const { return lanes_; }
   Rng& rng() { return rng_; }
   const ClusterConfig& config() const { return config_; }
 
@@ -217,7 +214,6 @@ class Cluster {
   catalog::GlobalPartitionTable catalog_;
   tx::TransactionManager tm_;
   admission::AdmissionController admission_;
-  lanes::LaneManager lanes_;
   Rng rng_;
 
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -565,10 +565,9 @@ void Master::MaybeBalanceHeat() {
 }
 
 bool Master::MaybeRelaneHot(NodeId hot) {
-  lanes::LaneManager& lanes = cluster_->lanes();
-  if (!lanes.enabled() || !lanes.policy().balance_lanes) return false;
-  if (lanes.lanes_per_node() < 2) return false;
-  const lanes::LanePolicy& lp = lanes.policy();
+  const lanes::LanePolicy& lp = cluster_->config().lanes;
+  if (!lp.enabled || !lp.balance_lanes) return false;
+  if (cluster_->node(hot)->hardware().cpu().size() < 2) return false;
 
   const auto lane_stats = monitor_.LaneStatsFor(hot);
   double total = 0.0;
@@ -636,7 +635,7 @@ bool Master::MaybeRelaneHot(NodeId hot) {
            std::to_string(moves.size()) + " segment(s) to lane " +
            std::to_string(cold_lane));
   for (const auto& m : moves) {
-    lanes.Relane(m.seg, static_cast<int>(cold_lane));
+    m.seg->set_lane(static_cast<int>(cold_lane));
     relane_cooldown_until_[m.seg->id()] = now + lp.relane_cooldown;
     ++segments_relaned_;
     Emit(ControlEventType::kSegmentRelaned, hot,

@@ -104,20 +104,21 @@ std::unordered_map<NodeId, double> Monitor::NodeHeats() const {
 }
 
 std::vector<LaneStats> Monitor::LaneStatsFor(NodeId node) const {
-  const lanes::LaneManager& lanes = cluster_->lanes();
-  if (!lanes.enabled()) return {};
-  std::vector<LaneStats> out(lanes.lanes_per_node());
+  if (!cluster_->config().lanes.enabled) return {};
+  const sim::ResourcePool& cores = cluster_->node(node)->hardware().cpu();
+  const int lanes = cores.size();
+  std::vector<LaneStats> out(lanes);
   const SimTime now = cluster_->Now();
-  for (int l = 0; l < lanes.lanes_per_node(); ++l) {
+  for (int l = 0; l < lanes; ++l) {
     out[l].lane = l;
-    out[l].backlog_us = lanes.Backlog(node, l, now);
+    out[l].backlog_us = cores.member(l).Backlog(now);
   }
   for (const auto& [sid, entry] : heat_) {
     if (entry.node != node) continue;
     storage::Segment* seg = cluster_->segments().Get(sid);
     if (seg == nullptr) continue;
     const int l = seg->lane();
-    if (l < 0 || l >= lanes.lanes_per_node()) continue;  // Not yet assigned.
+    if (l < 0 || l >= lanes) continue;  // Not yet assigned.
     out[l].heat += entry.heat;
   }
   return out;

@@ -10,7 +10,7 @@ namespace wattdb::cluster {
 
 Node::Node(NodeId id, const hw::NodeHardwareSpec& hw_spec,
            const storage::BufferSpec& buffer_spec, const NodeCostConfig& costs,
-           tx::CcScheme cc, DiskId first_disk_id,
+           tx::CcScheme cc, bool lanes, DiskId first_disk_id,
            storage::SegmentManager* segments, tx::TransactionManager* tm,
            hw::Network* network, storage::BufferManager::DiskResolver resolver)
     : id_(id),
@@ -20,7 +20,8 @@ Node::Node(NodeId id, const hw::NodeHardwareSpec& hw_spec,
       buffer_(id, buffer_spec, segments, network, std::move(resolver)),
       segments_(segments),
       tm_(tm),
-      network_(network) {
+      network_(network),
+      lanes_(lanes) {
   // The WAL shares the first SSD with data segments — on the paper's nodes
   // log and data compete for the storage subsystem's bandwidth, which is
   // exactly why logging slows while rebalancing and why shipping the log to
@@ -60,13 +61,11 @@ void Node::ChargeCpu(tx::Txn* txn, SimTime service_us, storage::Segment* seg) {
   // instead of demanding one contiguous reservation.
   constexpr SimTime kSliceUs = 4000;
   // With the lane policy on, work targeting a known segment runs on that
-  // segment's worker lane — its private execution timeline. Ops on other
-  // lanes of this node proceed in parallel; the shared core pool is used
-  // only for work with no segment affinity (and when lanes are off).
-  sim::Resource* lane = nullptr;
-  if (lanes_ != nullptr && lanes_->enabled() && seg != nullptr) {
-    lane = lanes_->lane(id_, lanes_->LaneOf(seg));
-  }
+  // segment's core. Ops on other lanes of this node proceed in parallel;
+  // work with no segment affinity (and all work when lanes are off) goes
+  // to the least-loaded core.
+  sim::Resource* lane =
+      lanes_ && seg != nullptr ? &hw_.cpu().member(LaneOf(seg)) : nullptr;
   while (service_us > 0) {
     const SimTime slice = std::min(service_us, kSliceUs);
     const SimTime done = lane != nullptr ? lane->Acquire(txn->now, slice)
@@ -75,6 +74,16 @@ void Node::ChargeCpu(tx::Txn* txn, SimTime service_us, storage::Segment* seg) {
     txn->AdvanceTo(done);
     service_us -= slice;
   }
+}
+
+int Node::LaneOf(storage::Segment* seg) {
+  const int lanes = hw_.cpu().size();
+  const int lane = seg->lane();
+  if (lane >= 0 && lane < lanes) return lane;
+  const int assigned = next_lane_;
+  next_lane_ = (next_lane_ + 1) % lanes;
+  seg->set_lane(assigned);
+  return assigned;
 }
 
 SimTime Node::ProbeCost(const storage::Segment* seg) const {

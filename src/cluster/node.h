@@ -10,7 +10,6 @@
 #include "common/types.h"
 #include "hw/network.h"
 #include "hw/node_hardware.h"
-#include "lanes/lane_manager.h"
 #include "storage/buffer_manager.h"
 #include "storage/record.h"
 #include "storage/segment_manager.h"
@@ -40,7 +39,7 @@ class Node {
  public:
   Node(NodeId id, const hw::NodeHardwareSpec& hw_spec,
        const storage::BufferSpec& buffer_spec, const NodeCostConfig& costs,
-       tx::CcScheme cc, DiskId first_disk_id,
+       tx::CcScheme cc, bool lanes, DiskId first_disk_id,
        storage::SegmentManager* segments, tx::TransactionManager* tm,
        hw::Network* network, storage::BufferManager::DiskResolver resolver);
 
@@ -52,10 +51,11 @@ class Node {
 
   hw::NodeHardware& hardware() { return hw_; }
   const hw::NodeHardware& hardware() const { return hw_; }
-  /// Cluster-owned worker lanes; when the lane policy is enabled, CPU work
-  /// on a known segment is charged to the segment's lane instead of the
-  /// shared core pool (shared-nothing intra-node parallelism).
-  void set_lane_manager(lanes::LaneManager* lanes) { lanes_ = lanes; }
+  /// Worker lane (core-pool member) owning `seg` on this node. Unassigned
+  /// segments, or ones whose lane is out of range, get a lane round-robin,
+  /// spreading fresh segments evenly before any heat is known. Only
+  /// meaningful with the lane policy on.
+  int LaneOf(storage::Segment* seg);
   /// Routed range covering (table, key), injected by the cluster. Bounds
   /// the key range a lazily materialized segment claims in the top index:
   /// without it the first insert claims [kMinKey, kMaxKey), and a segment
@@ -132,11 +132,11 @@ class Node {
   hw::Disk* DataDisk(SimTime now);
 
  private:
-  /// Charge CPU work: queueing + service on this node's core pool — or,
-  /// when the lane policy is on and the work targets a known segment, on
-  /// that segment's worker lane (its private execution timeline). Ops on
-  /// different lanes never queue behind each other; ops on one lane
-  /// serialize, which is exactly the shared-nothing contract.
+  /// Charge CPU work: queueing + service on this node's core pool. With
+  /// the lane policy on, work targeting a known segment is pinned to that
+  /// segment's lane — one core of the pool — instead of the least-loaded
+  /// core. Ops on different lanes never queue behind each other; ops on
+  /// one lane serialize, which is exactly the shared-nothing contract.
   void ChargeCpu(tx::Txn* txn, SimTime service_us,
                  storage::Segment* seg = nullptr);
   /// Index-probe service time against `seg`'s index structure (nullptr:
@@ -163,7 +163,10 @@ class Node {
   storage::SegmentManager* segments_;
   tx::TransactionManager* tm_;
   hw::Network* network_;
-  lanes::LaneManager* lanes_ = nullptr;
+  /// Lane policy on: segment work is pinned to per-segment cores.
+  bool lanes_;
+  /// Round-robin cursor for lazy lane assignment.
+  int next_lane_ = 0;
   std::function<KeyRange(TableId, Key)> route_bound_;
 };
 

@@ -186,16 +186,16 @@ std::vector<std::pair<NodeId, std::vector<size_t>>> GroupByOwner(
   return groups;
 }
 
-/// Worker lane of `key` at its routed partition, or -1 when no segment is
-/// resolvable (a mid-move gap charges the shared pool like any work with
-/// no segment affinity).
-int LaneOfKey(Cluster* c, catalog::Partition* part, Key key) {
-  if (!c->lanes().enabled() || part == nullptr) return -1;
+/// Worker lane of `key` at its routed partition on `node`, or -1 when no
+/// segment is resolvable (a mid-move gap charges the least-loaded core like
+/// any work with no segment affinity).
+int LaneOfKey(Cluster* c, Node* node, catalog::Partition* part, Key key) {
+  if (part == nullptr) return -1;
   const SegmentId sid = part->SegmentFor(key);
   if (!sid.valid()) return -1;
   storage::Segment* seg = c->segments().Get(sid);
   if (seg == nullptr) return -1;
-  return c->lanes().LaneOf(seg);
+  return node->LaneOf(seg);
 }
 
 /// Sub-group one owner group's key indexes by the worker lane of each key's
@@ -205,7 +205,7 @@ int LaneOfKey(Cluster* c, catalog::Partition* part, Key key) {
 std::vector<std::vector<size_t>> GroupByLane(
     Cluster* c, const std::vector<size_t>& idxs,
     const std::function<int(size_t)>& lane_of) {
-  if (!c->lanes().enabled()) return {idxs};
+  if (!c->config().lanes.enabled) return {idxs};
   std::vector<std::vector<size_t>> groups;
   std::unordered_map<int, size_t> group_of;
   group_of.reserve(idxs.size());
@@ -263,13 +263,13 @@ Status RoutedMultiRead(Cluster* c, tx::Txn* txn, TableId table,
     // records: the whole group rides a single round trip. On the owner the
     // group fans out over the worker lanes of its keys' segments —
     // shared-nothing intra-node parallelism: every lane's sub-batch starts
-    // at the same instant and runs on that lane's private timeline, and the
-    // group completes when its slowest lane does.
+    // at the same instant and runs on that lane's core, and the group
+    // completes when its slowest lane does.
     size_t resp_bytes = 32;
     const SimTime group_start = txn->now;
     SimTime group_done = group_start;
     for (const auto& lane_idxs : GroupByLane(c, idxs, [&](size_t i) {
-           return LaneOfKey(c, routes[i].part, keys[i]);
+           return LaneOfKey(c, c->node(owner), routes[i].part, keys[i]);
          })) {
       txn->now = group_start;
       for (size_t i : lane_idxs) {
@@ -354,7 +354,7 @@ Status RoutedMultiWrite(Cluster* c, tx::Txn* txn, TableId table,
     const SimTime group_start = txn->now;
     SimTime group_done = group_start;
     for (const auto& lane_idxs : GroupByLane(c, idxs, [&](size_t i) {
-           return LaneOfKey(c, routes[i].part, kvs[i].key);
+           return LaneOfKey(c, c->node(owner), routes[i].part, kvs[i].key);
          })) {
       txn->now = group_start;
       for (size_t i : lane_idxs) {

@@ -5,28 +5,6 @@
 
 namespace wattdb {
 
-void RunningStat::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  sum_sq_ += x * x;
-}
-
-void RunningStat::Reset() { *this = RunningStat(); }
-
-double RunningStat::variance() const {
-  if (count_ < 2) return 0.0;
-  const double m = mean();
-  return std::max(0.0, sum_sq_ / count_ - m * m);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 std::vector<double> Histogram::MakeBounds() {
   std::vector<double> bounds(kNumBuckets);
   // Geometric progression from 1 us to 1e8 us (100 s).

@@ -8,28 +8,6 @@
 
 namespace wattdb {
 
-/// Streaming mean/min/max/stddev accumulator.
-class RunningStat {
- public:
-  void Add(double x);
-  void Reset();
-
-  int64_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return sum_; }
-  double variance() const;
-  double stddev() const;
-
- private:
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Fixed-boundary latency histogram with percentile queries. Buckets grow
 /// geometrically from 1 us to ~100 s, which covers every latency the
 /// simulation produces.

@@ -5,23 +5,26 @@
 
 namespace wattdb::lanes {
 
-/// Intra-node parallel data plane (KVell-style): each node hosts
-/// `lanes_per_node` shared-nothing worker lanes, each an independent
-/// `sim::Resource` execution timeline owning a shard of the node's
-/// segments. A single-segment op runs entirely on its owning lane —
-/// lock-free by construction, no cross-lane coordination — and cross-lane
-/// batches group per lane and run the groups in parallel, exactly how
-/// `RoutedMulti*` groups per owner node one level up.
+/// Intra-node parallel data plane (KVell-style): each core of a node's
+/// CPU pool (`NodeHardwareSpec::cpu_cores` of them) is a shared-nothing
+/// worker lane owning a shard of the node's segments. A single-segment op
+/// runs entirely on its owning lane's core — lock-free by construction, no
+/// cross-lane coordination — and cross-lane batches group per lane and run
+/// the groups in parallel, exactly how `RoutedMulti*` groups per owner node
+/// one level up. Work with no segment affinity still goes to the
+/// least-loaded core. Lane work is core work, so it counts toward CPU
+/// utilisation, watts, and the master's CPU triggers.
 ///
-/// Default-off: with `enabled == false` every node keeps charging its CPU
-/// core pool and nothing else in the system changes. Validated at
+/// Segment ownership is what separates a lane from the pool's default
+/// least-loaded routing (work stealing): a hot lane stays hot until the
+/// balancer re-lanes a segment, so skew is visible as lane imbalance the
+/// master can fix locally.
+///
+/// Default-off: with `enabled == false` all CPU work goes to the
+/// least-loaded core and nothing else in the system changes. Validated at
 /// Db::Open even when disabled (the repo-wide policy convention).
 struct LanePolicy {
   bool enabled = false;
-
-  /// Worker lanes per node. 1 is a legal (serial) configuration and the
-  /// natural sweep baseline.
-  int lanes_per_node = 4;
 
   /// Intra-node lane balancing: when the master's heat tier fires on a
   /// node, re-lane hot segments between that node's lanes (cheap, no

@@ -85,6 +85,11 @@ class ResourcePool {
   int size() const { return static_cast<int>(members_.size()); }
   const std::string& name() const { return name_; }
 
+  /// Member `i` (0 <= i < size()): for work pinned to one core, bypassing
+  /// the least-loaded routing of Acquire.
+  Resource& member(int i) { return members_.at(i); }
+  const Resource& member(int i) const { return members_.at(i); }
+
  private:
   std::string name_;
   std::vector<Resource> members_;

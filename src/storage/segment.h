@@ -24,9 +24,9 @@ namespace wattdb::storage {
 /// remote fetch (the physical-partitioning penalty).
 class Segment {
  public:
-  /// A lane value of kLaneUnassigned means "not yet sharded": the node's
-  /// LaneManager assigns one lazily on first access and a cross-node move
-  /// resets it (the destination node re-lanes by its own map).
+  /// A lane value of kLaneUnassigned means "not yet sharded": the node
+  /// assigns one lazily on first access (Node::LaneOf) and a cross-node
+  /// move resets it (the destination node re-lanes by its own cursor).
   static constexpr int kLaneUnassigned = -1;
 
   Segment(SegmentId id, NodeId storage_node, DiskId disk,
@@ -45,12 +45,13 @@ class Segment {
     storage_node_ = node;
     disk_ = disk;
     // The lane shard is a per-node notion: after a cross-node move the
-    // destination's LaneManager assigns a fresh lane on first access.
+    // destination node assigns a fresh lane on first access.
     lane_ = kLaneUnassigned;
   }
 
-  /// Worker lane owning this segment on its storage node (intra-node
-  /// shared-nothing sharding), or kLaneUnassigned.
+  /// Worker lane (core of the node's CPU pool) owning this segment
+  /// (intra-node shared-nothing sharding), or kLaneUnassigned. Re-laning
+  /// is this setter: in-memory, no pages or network move.
   int lane() const { return lane_; }
   void set_lane(int lane) { lane_ = lane; }
 

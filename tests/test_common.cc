@@ -226,27 +226,6 @@ TEST(Rng, ZipfSkewsTowardZero) {
   EXPECT_GT(low, n / 20);
 }
 
-TEST(RunningStat, Basics) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0);
-  s.Add(1);
-  s.Add(2);
-  s.Add(3);
-  EXPECT_EQ(s.count(), 3);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_NEAR(s.stddev(), 0.8165, 1e-3);
-}
-
-TEST(RunningStat, Reset) {
-  RunningStat s;
-  s.Add(5);
-  s.Reset();
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(Histogram, CountMeanPercentiles) {
   Histogram h;
   for (int i = 1; i <= 1000; ++i) h.Add(i);

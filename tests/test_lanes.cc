@@ -1,6 +1,7 @@
 // Tests for the intra-node parallel data plane (src/lanes): Open-time
-// validation of LanePolicy and the pluggable index kind, behavioral
-// parity of the two RecordIndex implementations, lane-map invariants
+// validation of LanePolicy, the core count and the pluggable index kind,
+// behavioral parity of the two RecordIndex implementations, lane work
+// counting as core work (utilisation and watts), lane-map invariants
 // (round-robin spread, exactly-once visibility across an intra-node
 // re-lane and across a cross-node move, survival across crash/redo),
 // and the master's intra-node balancing tier firing before any
@@ -11,11 +12,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "api/db.h"
 #include "index/record_index.h"
-#include "lanes/lane_manager.h"
 #include "storage/segment.h"
 
 namespace wattdb {
@@ -23,16 +24,18 @@ namespace {
 
 // ------------------------------------------------------------- Db fixtures
 
-/// Lanes on, master loop off: routing/charging behavior only.
+/// Lanes on (one per core), master loop off: routing/charging behavior
+/// only.
 DbOptions LaneOptions(int lanes_per_node = 4) {
   lanes::LanePolicy lp;
   lp.enabled = true;
-  lp.lanes_per_node = lanes_per_node;
-  return DbOptions()
-      .WithNodes(4)
-      .WithActiveNodes(3)
-      .WithoutTpccLoad()
-      .WithLanePolicy(lp);
+  DbOptions options = DbOptions()
+                          .WithNodes(4)
+                          .WithActiveNodes(3)
+                          .WithoutTpccLoad()
+                          .WithLanePolicy(lp);
+  options.cluster.node_hw.cpu_cores = lanes_per_node;
+  return options;
 }
 
 int CountEvents(Db& db, cluster::ControlEventType type) {
@@ -72,11 +75,12 @@ void ExpectAllReadable(Session& session, TableId table, Key lo, Key hi,
 
 TEST(Lanes, OpenValidatesLanePolicy) {
   {
+    // A lane is a core: zero cores would leave nowhere to run.
     DbOptions o = LaneOptions();
-    o.cluster.lanes.lanes_per_node = 0;
+    o.cluster.node_hw.cpu_cores = 0;
     auto db = Db::Open(o);
     ASSERT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
-    EXPECT_NE(db.status().ToString().find("lanes_per_node"), std::string::npos);
+    EXPECT_NE(db.status().ToString().find("cpu_cores"), std::string::npos);
   }
   {
     DbOptions o = LaneOptions();
@@ -103,12 +107,13 @@ TEST(Lanes, OpenValidatesLanePolicy) {
               std::string::npos);
   }
   {
-    // Misconfiguration is rejected even while the subsystem is off, per
-    // the repo-wide policy convention.
+    // The core count is checked with lanes off too: it is the node's CPU.
     DbOptions o = LaneOptions();
     o.cluster.lanes.enabled = false;
-    o.cluster.lanes.lanes_per_node = -3;
-    EXPECT_TRUE(Db::Open(o).status().IsInvalidArgument());
+    o.cluster.node_hw.cpu_cores = -3;
+    auto db = Db::Open(o);
+    ASSERT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
+    EXPECT_NE(db.status().ToString().find("cpu_cores"), std::string::npos);
   }
   {
     DbOptions o = LaneOptions().WithIndexKind(static_cast<index::IndexKind>(99));
@@ -181,6 +186,72 @@ TEST(Lanes, RecordIndexImplementationsAgree) {
   EXPECT_EQ(index::MakeRecordIndex(static_cast<index::IndexKind>(99)), nullptr);
 }
 
+// ------------------------------------------------ lane work is core work
+
+/// CPU the cluster saw while a fixed serial Session workload ran.
+struct CpuSeen {
+  std::vector<SimTime> busy_us;  ///< Per node, whole run.
+  std::vector<double> util;      ///< Per node, whole run.
+  double watts = 0.0;
+};
+
+CpuSeen RunSerialWorkload(bool lanes_on) {
+  DbOptions options = LaneOptions(/*lanes_per_node=*/4);
+  options.cluster.lanes.enabled = lanes_on;
+  auto opened = Db::Open(options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  if (!opened.ok()) return {};
+  Db& db = **opened;
+  Session session = db.OpenSession();
+  StatusOr<TableId> table = db.CreateKvTable("kv", 64, 1536, 4);
+  EXPECT_TRUE(table.ok());
+  if (!table.ok()) return {};
+  // Keys span all three active nodes' partitions.
+  const SimTime from = db.Now();
+  for (Key k = 0; k < 1536; k += 8) {
+    EXPECT_TRUE(session.Put(*table, k, ValueFor(k)).ok());
+  }
+  for (Key k = 0; k < 1536; k += 16) {
+    EXPECT_TRUE(session.Get(*table, k).ok());
+    EXPECT_TRUE(session.Put(*table, k, ValueFor(k + 1)).ok());
+  }
+  db.RunFor(kUsPerSec);
+  const SimTime to = db.Now();
+
+  CpuSeen seen;
+  for (int i = 0; i < db.cluster().num_nodes(); ++i) {
+    const hw::NodeHardware& h = db.cluster().node(NodeId(i))->hardware();
+    seen.busy_us.push_back(h.cpu().BusyIn(from, to));
+    seen.util.push_back(h.CpuUtilizationIn(from, to));
+  }
+  seen.watts = db.WattsIn(from, to);
+  return seen;
+}
+
+TEST(Lanes, LaneWorkCountsAsCoreWork) {
+  // A lane is a core of the node's pool, so pinning segment work to lanes
+  // changes which core runs it, never how much CPU the node reports: the
+  // utilisation that drives watts and the master's triggers must match
+  // the lanes-off run exactly.
+  const CpuSeen off = RunSerialWorkload(/*lanes_on=*/false);
+  const CpuSeen on = RunSerialWorkload(/*lanes_on=*/true);
+  ASSERT_EQ(off.busy_us.size(), on.busy_us.size());
+  SimTime total_off = 0;
+  SimTime total_on = 0;
+  int busy_nodes = 0;
+  for (size_t i = 0; i < off.busy_us.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(on.busy_us[i], off.busy_us[i]);
+    EXPECT_DOUBLE_EQ(on.util[i], off.util[i]);
+    total_off += off.busy_us[i];
+    total_on += on.busy_us[i];
+    if (off.busy_us[i] > 0) ++busy_nodes;
+  }
+  EXPECT_EQ(busy_nodes, 3);
+  EXPECT_EQ(total_on, total_off);
+  EXPECT_DOUBLE_EQ(on.watts, off.watts);
+}
+
 // ---------------------------------------------------- lane-map invariants
 
 TEST(Lanes, SegmentsSpreadAcrossLanesAndRelaneKeepsDataExactlyOnce) {
@@ -211,19 +282,17 @@ TEST(Lanes, SegmentsSpreadAcrossLanesAndRelaneKeepsDataExactlyOnce) {
 
   // Intra-node re-lane is an in-memory remap: after stacking everything
   // onto lane 0, every key is still readable exactly once with its own
-  // payload, and new writes land normally.
-  const int64_t relanes_before = db.cluster().lanes().relanes();
-  int64_t actually_moved = 0;
+  // payload, new writes land normally, and the stacked lanes stay put.
+  int actually_moved = 0;
   for (storage::Segment* seg : node1_segs) {
     if (seg->lane() != 0) ++actually_moved;
-    db.cluster().lanes().Relane(seg, 0);
-    EXPECT_EQ(seg->lane(), 0);
+    seg->set_lane(0);
   }
   EXPECT_GE(actually_moved, 1);
-  EXPECT_EQ(db.cluster().lanes().relanes(), relanes_before + actually_moved);
   ExpectAllReadable(session, *table, 512, 1024, 8);
   ASSERT_TRUE(session.Put(*table, 513, ValueFor(513)).ok());
   EXPECT_TRUE(session.Get(*table, 513).ok());
+  for (storage::Segment* seg : node1_segs) EXPECT_EQ(seg->lane(), 0);
 }
 
 TEST(Lanes, CrossNodeMoveResetsLaneAndKeepsDataExactlyOnce) {
@@ -313,7 +382,6 @@ TEST(Lanes, HotLaneIsRelanedBeforeAnyCrossNodeMove) {
   mp.balance.min_total_heat = 10.0;
   lanes::LanePolicy lp;
   lp.enabled = true;
-  lp.lanes_per_node = 4;
   lp.balance_lanes = true;
   lp.lane_trigger_ratio = 1.3;
   lp.max_relanes_per_round = 4;
@@ -324,6 +392,7 @@ TEST(Lanes, HotLaneIsRelanedBeforeAnyCrossNodeMove) {
                           .WithoutTpccLoad()
                           .WithLanePolicy(lp)
                           .WithMasterLoop(mp);
+  options.cluster.node_hw.cpu_cores = 4;
   auto opened = Db::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   Db& db = **opened;
@@ -337,7 +406,7 @@ TEST(Lanes, HotLaneIsRelanedBeforeAnyCrossNodeMove) {
   // Simulate drift: every segment of node 1 stacked onto lane 0, then all
   // traffic on that node — the classic hot-lane picture.
   for (storage::Segment* seg : db.cluster().segments().SegmentsOn(NodeId(1))) {
-    db.cluster().lanes().Relane(seg, 0);
+    seg->set_lane(0);
   }
   const SimTime t0 = db.Now();
   while (CountEvents(db, cluster::ControlEventType::kLaneRebalanced) == 0 &&
