@@ -26,9 +26,11 @@ any regression or missing file/metric.
 The benches run on simulated time, so the numbers are deterministic across
 machines — the 25% default margin absorbs intentional small recalibrations,
 not noise. Because of that determinism, any change at all in a metric other
-than wall_clock_ms (the one real-time number) gets the status "drift" and is
-counted, so a refactor that claims "simulated baselines bit-identical" can be
-checked at a glance. Drift is reported, never gated.
+than a wall-time one (wall_clock_ms, and any name containing "_wall_", e.g.
+bench_layers' <shape>_wall_ns_per_acquire; these are always "info") gets
+the status "drift" and is counted, so a refactor that claims "simulated
+baselines bit-identical" can be checked at a glance. Drift is reported,
+never gated.
 
 When running under GitHub Actions (GITHUB_STEP_SUMMARY is set), the same
 comparison is appended to the job's step summary as a markdown table, so a
@@ -69,8 +71,13 @@ def metric_map(doc: dict, path: Path) -> dict:
     return {m["name"]: m for m in metrics}
 
 
-# The one metric measured in real time; every other value is simulated.
+# Metrics measured in real time; every other value is simulated or a
+# deterministic work count.
 WALL_CLOCK = "wall_clock_ms"
+
+
+def is_wall_time(name: str) -> bool:
+    return name == WALL_CLOCK or "_wall_" in name
 
 
 def drift_line(rows) -> str:
@@ -78,9 +85,9 @@ def drift_line(rows) -> str:
     drifted = sum(1 for r in rows if r[6] in ("drift", "REGRESSED"))
     if drifted:
         return (f"{drifted} simulated metric(s) drifted from their baselines "
-                f"(any change; {WALL_CLOCK} excluded).")
-    return (f"No simulated metric drifted: all bit-identical to baselines "
-            f"({WALL_CLOCK} excluded).")
+                f"(any change; wall-time metrics excluded).")
+    return ("No simulated metric drifted: all bit-identical to baselines "
+            "(wall-time metrics excluded).")
 
 
 def write_step_summary(rows, failures, warnings, threshold) -> None:
@@ -238,7 +245,7 @@ def main() -> int:
                 regressed = new > old * (1.0 + args.threshold)
             if regressed:
                 status = "REGRESSED"
-            elif new != old and name != WALL_CLOCK:
+            elif new != old and not is_wall_time(name):
                 status = "drift"
             else:
                 status = "info" if direction == "info" else "ok"

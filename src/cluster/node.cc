@@ -40,17 +40,19 @@ hw::Disk* Node::DataDisk(SimTime now) {
   // for the same storage bandwidth — the paper's Fig. 7 bottleneck.
   hw::Disk* best = nullptr;
   size_t best_load = 0;
+  SimTime best_backlog = 0;
   for (auto& d : hw_.disks()) {
     if (d->spec().kind != hw::DiskKind::kSsd) continue;
     size_t load = 0;
     for (storage::Segment* seg : segments_->SegmentsOn(id_)) {
       if (seg->disk() == d->id()) load += seg->DiskBytes();
     }
+    const SimTime backlog = d->resource().Backlog(now);
     if (best == nullptr || load < best_load ||
-        (load == best_load &&
-         d->resource().Backlog(now) < best->resource().Backlog(now))) {
+        (load == best_load && backlog < best_backlog)) {
       best = d.get();
       best_load = load;
+      best_backlog = backlog;
     }
   }
   return best != nullptr ? best : hw_.LeastLoadedDisk(now);

@@ -24,9 +24,12 @@ NodeHardware::NodeHardware(NodeId id, const NodeHardwareSpec& spec,
 
 Disk* NodeHardware::LeastLoadedDisk(SimTime now) {
   Disk* best = disks_[0].get();
-  for (auto& d : disks_) {
-    if (d->resource().Backlog(now) < best->resource().Backlog(now)) {
-      best = d.get();
+  SimTime best_backlog = best->resource().Backlog(now);
+  for (size_t i = 1; i < disks_.size(); ++i) {
+    const SimTime backlog = disks_[i]->resource().Backlog(now);
+    if (backlog < best_backlog) {
+      best = disks_[i].get();
+      best_backlog = backlog;
     }
   }
   return best;
