@@ -1,4 +1,5 @@
-// Wall-clock cost of the simulator's hot layers, in isolation. Today that is
+// Wall-clock cost of the simulator's hot layers, in isolation.
+//
 // sim::Resource, the busy-interval timeline every disk, log, network and
 // core charge goes through, under three timeline shapes:
 //
@@ -13,9 +14,22 @@
 // counter, timeline steps per acquire (Resource::steps(): leaf summaries
 // plus interval entries examined), is deterministic and gated; the
 // google-benchmark wall time per acquire is recorded as info.
+//
+// storage::Segment's insert path, under one script:
+//
+//   segment_load  a bulk load of TPC-C stock rows (312-byte payloads) into
+//                 one fresh segment, to about 2000 pages. Each filled page
+//                 keeps 76 bytes free: too few for another row, enough to
+//                 hold the insert cursor, so every insert searches past
+//                 all the filled pages.
+//
+// Its work counter, pages examined per insert (Segment::steps(): free-space
+// map blocks plus pages examined), is gated; wall ns per insert is info.
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +37,7 @@
 
 #include "bench/bench_util.h"
 #include "sim/resource.h"
+#include "storage/segment.h"
 
 namespace wattdb {
 namespace {
@@ -102,6 +117,17 @@ double StepsPerAcquire(const Shape& shape, const sim::Resource& prepared) {
   return static_cast<double>(r.steps() - before) / shape.acquires;
 }
 
+constexpr size_t kStockPayloadBytes = 312;
+constexpr Key kSegmentLoadRows = 50000;
+
+/// Loads the segment_load script into a fresh segment.
+void SegmentLoad(storage::Segment* seg) {
+  const std::vector<uint8_t> payload(kStockPayloadBytes, 0x5A);
+  for (Key k = 0; k < kSegmentLoadRows; ++k) {
+    if (!seg->Insert(k, payload).ok()) std::abort();
+  }
+}
+
 /// Console output, plus each benchmark's mean wall ns per iteration.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
@@ -127,7 +153,7 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   using wattdb::bench::JsonReporter;
   std::printf("==============================================================\n");
-  std::printf("Simulator layers — sim::Resource timeline\n");
+  std::printf("Simulator layers — sim::Resource timeline, segment inserts\n");
   std::printf("==============================================================\n");
   benchmark::Initialize(&argc, argv);
   JsonReporter json("layers");
@@ -152,6 +178,20 @@ int main(int argc, char** argv) {
           state.SetItemsProcessed(state.iterations() * shape.acquires);
         });
   }
+  benchmark::RegisterBenchmark("segment_load", [](benchmark::State& state) {
+    for (auto _ : state) {
+      state.PauseTiming();
+      auto seg = std::make_unique<wattdb::storage::Segment>(
+          wattdb::SegmentId(1), wattdb::NodeId(0), wattdb::DiskId(0));
+      state.ResumeTiming();
+      wattdb::SegmentLoad(seg.get());
+      benchmark::DoNotOptimize(seg->page_count());
+      state.PauseTiming();
+      seg.reset();
+      state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * wattdb::kSegmentLoadRows);
+  });
   wattdb::CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
@@ -174,5 +214,26 @@ int main(int argc, char** argv) {
     std::printf("%-12s %12d %10d %24.2f %16.1f\n", shape.name,
                 shape.intervals, shape.acquires, steps, ns);
   }
+
+  wattdb::storage::Segment seg(wattdb::SegmentId(1), wattdb::NodeId(0),
+                               wattdb::DiskId(0));
+  wattdb::SegmentLoad(&seg);
+  const double inserts = static_cast<double>(wattdb::kSegmentLoadRows);
+  const double pages_examined = static_cast<double>(seg.steps()) / inserts;
+  json.Config("segment_load_rows", inserts);
+  json.Config("segment_load_pages", static_cast<double>(seg.page_count()));
+  json.Metric("segment_load_pages_examined_per_insert", pages_examined,
+              "pages", JsonReporter::kLowerIsBetter);
+  auto it = reporter.ns_per_iteration.find("segment_load");
+  const double ns =
+      it == reporter.ns_per_iteration.end() ? 0.0 : it->second / inserts;
+  if (ns > 0.0) {
+    json.Metric("segment_load_wall_ns_per_insert", ns, "ns",
+                JsonReporter::kInfo);
+  }
+  std::printf("\n%-12s %12s %10s %24s %16s\n", "script", "pages", "inserts",
+              "pages_examined/insert", "ns/insert");
+  std::printf("%-12s %12zu %10.0f %24.2f %16.1f\n", "segment_load",
+              seg.page_count(), inserts, pages_examined, ns);
   return 0;
 }

@@ -20,7 +20,7 @@ size_t Page::FreeSpace() const {
   return usable > live_bytes_ ? usable - live_bytes_ : 0;
 }
 
-Result<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
+StatusOr<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
   if (size == 0 || size > kFrameSize - kPageHeaderSize - kSlotSize) {
     return Status::InvalidArgument("record size unsupported");
   }
@@ -30,12 +30,15 @@ Result<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
   if (ContiguousFreeSpace() < size + kSlotSize) {
     Compact();
   }
-  // Reuse a tombstone slot if available to bound directory growth.
+  // Reuse the lowest tombstone slot, if any, to bound directory growth.
+  // Every slot is live when the counts match, so there is none to find.
   uint16_t slot = static_cast<uint16_t>(slots_.size());
-  for (uint16_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].offset == kTombstone) {
-      slot = s;
-      break;
+  if (record_count_ != slots_.size()) {
+    for (uint16_t s = 0; s < slots_.size(); ++s) {
+      if (slots_[s].offset == kTombstone) {
+        slot = s;
+        break;
+      }
     }
   }
   free_ptr_ -= size;
@@ -52,7 +55,7 @@ Result<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
   return slot;
 }
 
-Result<std::pair<const uint8_t*, size_t>> Page::Read(uint16_t slot) const {
+StatusOr<std::pair<const uint8_t*, size_t>> Page::Read(uint16_t slot) const {
   if (slot >= slots_.size() || slots_[slot].offset == kTombstone) {
     return Status::NotFound("no such slot");
   }

@@ -57,21 +57,30 @@ class Segment {
 
   /// Insert a record. Fails with ResourceExhausted when all 4096 pages are
   /// full, AlreadyExists on duplicate key.
-  Result<RecordPos> Insert(Key key, const std::vector<uint8_t>& payload);
+  ///
+  /// Page choice: the first page at or after the insert cursor with
+  /// FreeSpace() >= body + slot entry, else a new page at the end. The
+  /// cursor then moves to the first page at or after it with at least
+  /// kCursorFloor bytes free, but never past the chosen page; pages behind
+  /// it are not searched again even if deletes free space there. The
+  /// free-space map lets the search skip whole blocks of full pages.
+  StatusOr<RecordPos> Insert(Key key, const std::vector<uint8_t>& payload);
 
   /// Latest stored record for `key`.
-  Result<Record> Read(Key key) const;
+  StatusOr<Record> Read(Key key) const;
   /// Record at a known position (index-free access for scans).
-  Result<Record> ReadAt(RecordPos pos) const;
+  StatusOr<Record> ReadAt(RecordPos pos) const;
 
   /// Overwrite the payload of `key`. May relocate the record within the
-  /// segment if it grew; the local index is kept consistent.
+  /// segment if it grew; the local index is kept consistent. Fails with
+  /// ResourceExhausted, leaving the record as it was, when it grew past its
+  /// page and no page can take it.
   Status Update(Key key, const std::vector<uint8_t>& payload);
 
   Status Delete(Key key);
 
   bool Contains(Key key) const { return pk_index_->Contains(key); }
-  Result<RecordPos> Locate(Key key) const;
+  StatusOr<RecordPos> Locate(Key key) const;
 
   /// Visit records with keys in [lo, hi) in key order; fn returns false to
   /// stop. Returns number visited.
@@ -86,7 +95,10 @@ class Segment {
   size_t page_count() const { return pages_.size(); }
   /// Index of the page holding `pos` for buffer-manager addressing.
   const Page* page(size_t idx) const { return pages_[idx].get(); }
-  Page* page(size_t idx) { return pages_[idx].get(); }
+
+  /// Pages and free-space-map blocks examined by page searches so far: a
+  /// deterministic work counter, like sim::Resource::steps().
+  uint64_t steps() const { return steps_; }
 
   /// Bytes of live record bodies across all pages.
   size_t LiveBytes() const;
@@ -122,7 +134,20 @@ class Segment {
   bool CheckInvariants() const;
 
  private:
+  /// Pages per free-space-map block.
+  static constexpr size_t kMapBlock = 64;
+  /// Pages with fewer free bytes than this do not hold the insert cursor;
+  /// roomier ones do, so small records still reach their leftover space.
+  static constexpr size_t kCursorFloor = 64;
+
+  /// First page at or after `from` with FreeSpace() >= `need`, or
+  /// page_count() when there is none.
+  size_t FirstWithFree(size_t from, size_t need);
+  /// The page an insert of a `record_size`-byte body goes to (appending
+  /// one if needed), or nullptr when the segment is full. Moves the cursor.
   Page* PageWithRoom(size_t record_size, uint16_t* out_idx);
+  /// Refresh page `idx`'s free-space-map entry after it changed.
+  void NoteFreeSpace(size_t idx);
 
   SegmentId id_;
   NodeId storage_node_;
@@ -130,8 +155,13 @@ class Segment {
   int lane_ = kLaneUnassigned;
   std::vector<std::unique_ptr<Page>> pages_;
   std::unique_ptr<index::RecordIndex> pk_index_;
-  /// First page that might have room, to keep inserts O(1) amortized.
+  /// Where page searches start; see Insert.
   size_t insert_cursor_ = 0;
+  /// Free-space map: FreeSpace() of each page, and its maximum over each
+  /// block of kMapBlock pages.
+  std::vector<uint16_t> free_;
+  std::vector<uint16_t> block_max_;
+  uint64_t steps_ = 0;
   mutable int64_t reads_ = 0;
   int64_t writes_ = 0;
 };

@@ -1,4 +1,4 @@
-// Unit tests for src/common: Status/Result, strong ids, key ranges, RNG,
+// Unit tests for src/common: Status/StatusOr, strong ids, key ranges, RNG,
 // statistics.
 
 #include <gtest/gtest.h>
@@ -39,31 +39,6 @@ TEST(Status, AllConstructorsMapToPredicates) {
   EXPECT_TRUE(Status::ResourceExhausted().IsResourceExhausted());
   EXPECT_TRUE(Status::Internal().IsInternal());
   EXPECT_TRUE(Status::Unavailable().IsUnavailable());
-}
-
-TEST(Result, HoldsValue) {
-  Result<int> r = 42;
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 42);
-  EXPECT_TRUE(r.status().ok());
-}
-
-TEST(Result, HoldsError) {
-  Result<int> r = Status::Busy("locked");
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsBusy());
-}
-
-TEST(Result, OkStatusBecomesInternalError) {
-  Result<int> r = Status::OK();
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInternal());
-}
-
-TEST(Result, MoveOutValue) {
-  Result<std::vector<int>> r = std::vector<int>{1, 2, 3};
-  std::vector<int> v = std::move(r).value();
-  EXPECT_EQ(v.size(), 3u);
 }
 
 Status Helper(bool fail) {
@@ -258,6 +233,7 @@ TEST(StatusOr, HoldsValue) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.has_value());
   EXPECT_EQ(*r, 42);
+  EXPECT_EQ(r.value(), 42);
   EXPECT_EQ(r.value_or(-1), 42);
   EXPECT_TRUE(r.status().ok());
 }
@@ -269,6 +245,10 @@ TEST(StatusOr, HoldsError) {
   EXPECT_TRUE(r.status().IsNotFound());
   EXPECT_EQ(r.status().message(), "no such key");
   EXPECT_EQ(r.value_or(-1), -1);
+
+  StatusOr<int> busy = Status::Busy("locked");
+  ASSERT_FALSE(busy.ok());
+  EXPECT_TRUE(busy.status().IsBusy());
 }
 
 TEST(StatusOr, OkStatusIsAnInternalError) {
@@ -281,6 +261,10 @@ TEST(StatusOr, MoveOutValue) {
   StatusOr<std::string> r = std::string("payload");
   std::string s = std::move(r).value();
   EXPECT_EQ(s, "payload");
+
+  StatusOr<std::vector<int>> v = std::vector<int>{1, 2, 3};
+  std::vector<int> moved = std::move(v).value();
+  EXPECT_EQ(moved.size(), 3u);
 }
 
 TEST(StatusOr, MemberAccessThroughArrow) {

@@ -56,16 +56,30 @@ TEST(Page, FillsUntilResourceExhausted) {
 TEST(Page, DeleteTombstonesAndReusesSlot) {
   Page p;
   const auto body = Bytes(64);
-  auto s0 = p.Insert(body.data(), body.size());
-  auto s1 = p.Insert(body.data(), body.size());
-  ASSERT_TRUE(s0.ok() && s1.ok());
-  ASSERT_TRUE(p.Delete(s0.value()).ok());
-  EXPECT_TRUE(p.Read(s0.value()).status().IsNotFound());
-  EXPECT_EQ(p.record_count(), 1);
-  // New insert reuses the tombstoned slot number.
-  auto s2 = p.Insert(body.data(), body.size());
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(s2.value(), s0.value());
+  std::vector<uint16_t> slots;
+  for (int i = 0; i < 4; ++i) {
+    auto s = p.Insert(body.data(), body.size());
+    ASSERT_TRUE(s.ok());
+    slots.push_back(s.value());
+  }
+  // Tombstone slots 3 and 1, the higher one first.
+  ASSERT_TRUE(p.Delete(slots[3]).ok());
+  ASSERT_TRUE(p.Delete(slots[1]).ok());
+  EXPECT_TRUE(p.Read(slots[1]).status().IsNotFound());
+  EXPECT_TRUE(p.Read(slots[3]).status().IsNotFound());
+  EXPECT_EQ(p.record_count(), 2);
+  // New inserts reuse the tombstoned slot numbers, lowest first.
+  auto a = p.Insert(body.data(), body.size());
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a.value(), slots[1]);
+  auto b = p.Insert(body.data(), body.size());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(b.value(), slots[3]);
+  // With no tombstone left the directory grows.
+  auto c = p.Insert(body.data(), body.size());
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c.value(), p.slot_count() - 1);
+  EXPECT_EQ(p.slot_count(), 5);
   EXPECT_TRUE(p.CheckInvariants());
 }
 
@@ -234,6 +248,195 @@ TEST(Segment, ByteAccounting) {
   EXPECT_EQ(seg.LiveBytes(), 100u);  // 8-byte key prefix + payload.
   EXPECT_EQ(seg.DiskBytes(), kPageSize);
   EXPECT_GT(seg.IndexBytes(), 0u);
+}
+
+// ------------------------------------------------ Segment free-space map
+
+/// The page chooser Segment used before its free-space map, kept as the
+/// reference the map must reproduce: a linear walk from the insert cursor
+/// that moves the cursor only past pages with under 64 bytes free. Pages
+/// and record positions are tracked; the segment-local index is not.
+class ReferenceSegment {
+ public:
+  StatusOr<RecordPos> Insert(Key key, const std::vector<uint8_t>& payload) {
+    const std::vector<uint8_t> body = EncodeRecord(key, payload);
+    uint16_t idx = 0;
+    Page* page = PageWithRoom(body.size(), &idx);
+    if (page == nullptr) return Status::ResourceExhausted("segment full");
+    auto slot = page->Insert(body.data(), body.size());
+    if (!slot.ok()) return slot.status();
+    pos_[key] = RecordPos{idx, slot.value()};
+    return pos_[key];
+  }
+
+  Status Update(Key key, const std::vector<uint8_t>& payload) {
+    const RecordPos pos = pos_.at(key);
+    const std::vector<uint8_t> body = EncodeRecord(key, payload);
+    Status s = pages_[pos.page]->Update(pos.slot, body.data(), body.size());
+    if (!s.IsResourceExhausted()) return s;
+    if (pages_.size() >= kPagesPerSegment) {
+      bool room = false;
+      for (size_t i = cursor_; i < pages_.size() && !room; ++i) {
+        room = pages_[i]->HasRoomFor(body.size());
+      }
+      if (!room) return Status::ResourceExhausted("segment full");
+    }
+    EXPECT_TRUE(pages_[pos.page]->Delete(pos.slot).ok());
+    uint16_t idx = 0;
+    Page* page = PageWithRoom(body.size(), &idx);
+    if (page == nullptr) return Status::Internal("no page after check");
+    auto slot = page->Insert(body.data(), body.size());
+    if (!slot.ok()) return slot.status();
+    pos_[key] = RecordPos{idx, slot.value()};
+    return Status::OK();
+  }
+
+  void Delete(Key key) {
+    const RecordPos pos = pos_.at(key);
+    EXPECT_TRUE(pages_[pos.page]->Delete(pos.slot).ok());
+    pos_.erase(key);
+  }
+
+  RecordPos pos(Key key) const { return pos_.at(key); }
+  size_t page_count() const { return pages_.size(); }
+
+ private:
+  Page* PageWithRoom(size_t record_size, uint16_t* out_idx) {
+    for (size_t i = cursor_; i < pages_.size(); ++i) {
+      if (pages_[i]->HasRoomFor(record_size)) {
+        *out_idx = static_cast<uint16_t>(i);
+        return pages_[i].get();
+      }
+      if (pages_[i]->FreeSpace() < 64 && i == cursor_) ++cursor_;
+    }
+    if (pages_.size() >= kPagesPerSegment) return nullptr;
+    pages_.push_back(std::make_unique<Page>());
+    *out_idx = static_cast<uint16_t>(pages_.size() - 1);
+    return pages_.back().get();
+  }
+
+  std::vector<std::unique_ptr<Page>> pages_;
+  std::map<Key, RecordPos> pos_;
+  size_t cursor_ = 0;
+};
+
+/// Mostly TPC-C-sized payloads, some larger, a few near half a page.
+size_t MixedPayloadSize(Rng* rng) {
+  const int64_t kind = rng->UniformInt(0, 19);
+  if (kind < 14) return static_cast<size_t>(rng->UniformInt(8, 300));
+  if (kind < 19) return static_cast<size_t>(rng->UniformInt(300, 1500));
+  return static_cast<size_t>(rng->UniformInt(1500, 4000));
+}
+
+class SegmentFreeSpaceDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SegmentFreeSpaceDifferentialTest, MatchesLinearChooserOnEveryOp) {
+  Segment seg(SegmentId(1), NodeId(0), DiskId(0));
+  ReferenceSegment ref;
+  Rng rng(GetParam());
+  std::map<Key, size_t> live;  // key -> payload size
+  Key next_key = 1;
+  for (int i = 0; i < 12000; ++i) {
+    const int64_t op = rng.UniformInt(0, 19);
+    if (op < 9 || live.empty()) {
+      const auto payload = Bytes(MixedPayloadSize(&rng), 1);
+      auto got = seg.Insert(next_key, payload);
+      auto want = ref.Insert(next_key, payload);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ASSERT_EQ(got.value(), want.value()) << "insert " << i;
+      live[next_key++] = payload.size();
+    } else {
+      auto it = live.begin();
+      std::advance(it, rng.UniformInt(0, live.size() - 1));
+      const Key key = it->first;
+      if (op < 16) {
+        // Grow (often past the page) or shrink.
+        const size_t size =
+            op < 13 ? it->second + MixedPayloadSize(&rng)
+                    : static_cast<size_t>(rng.UniformInt(8, it->second));
+        const auto payload = Bytes(std::min<size_t>(size, 4000), 2);
+        ASSERT_TRUE(seg.Update(key, payload).ok());
+        ASSERT_TRUE(ref.Update(key, payload).ok());
+        ASSERT_EQ(seg.Locate(key).value(), ref.pos(key)) << "update " << i;
+        it->second = payload.size();
+      } else {
+        ASSERT_TRUE(seg.Delete(key).ok());
+        ref.Delete(key);
+        live.erase(it);
+      }
+    }
+    ASSERT_EQ(seg.page_count(), ref.page_count()) << "op " << i;
+    if (i % 64 == 0) {
+      ASSERT_TRUE(seg.CheckInvariants()) << "op " << i;
+    }
+  }
+  EXPECT_GT(seg.page_count(), 64u);
+  EXPECT_TRUE(seg.CheckInvariants());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SegmentFreeSpaceDifferentialTest,
+                         ::testing::Values(1, 7, 42, 2024, 48611));
+
+TEST(SegmentFreeSpaceDifferential, SkipsWholeBlocksOfFullPages) {
+  // 1000-byte payloads leave 80 bytes on each filled page: enough to hold
+  // the insert cursor at page 0, too little for another row. The search
+  // must skip the filled blocks to reach the tail page.
+  Segment seg(SegmentId(1), NodeId(0), DiskId(0));
+  ReferenceSegment ref;
+  const auto payload = Bytes(1000);
+  Key key = 0;
+  while (seg.page_count() < 300) {
+    auto got = seg.Insert(key, payload);
+    auto want = ref.Insert(key, payload);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got.value(), want.value()) << "key " << key;
+    ++key;
+  }
+  const uint64_t before = seg.steps();
+  constexpr int kInserts = 200;
+  for (int i = 0; i < kInserts; ++i, ++key) {
+    auto got = seg.Insert(key, payload);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value(), ref.Insert(key, payload).value());
+  }
+  // About 2 steps to find the cursor page, one per block, and the pages
+  // of the tail block; the linear walk examined over 300 pages per insert.
+  EXPECT_LT(static_cast<double>(seg.steps() - before) / kInserts, 80.0);
+  EXPECT_TRUE(seg.CheckInvariants());
+}
+
+TEST(SegmentFreeSpaceDifferential, FillsEveryPageThenRunsOutOfRoom) {
+  // Two 4000-byte payloads per page leave 152 bytes free on each.
+  Segment seg(SegmentId(1), NodeId(0), DiskId(0));
+  ReferenceSegment ref;
+  const auto payload = Bytes(4000);
+  Key key = 0;
+  for (; key < 2 * kPagesPerSegment; ++key) {
+    auto got = seg.Insert(key, payload);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value(), ref.Insert(key, payload).value());
+  }
+  ASSERT_EQ(seg.page_count(), kPagesPerSegment);
+  const uint64_t before = seg.steps();
+  EXPECT_TRUE(seg.Insert(key, payload).status().IsResourceExhausted());
+  EXPECT_TRUE(ref.Insert(key, payload).status().IsResourceExhausted());
+  // One summary per block, not one look per page.
+  EXPECT_LT(seg.steps() - before, 2 * kPagesPerSegment / 64);
+  EXPECT_EQ(seg.page_count(), kPagesPerSegment);
+
+  // Growing a record past its page fails and leaves it in place.
+  const auto grown = Bytes(4200, 7);
+  EXPECT_TRUE(seg.Update(1, grown).IsResourceExhausted());
+  EXPECT_TRUE(ref.Update(1, grown).IsResourceExhausted());
+  EXPECT_EQ(seg.Read(1).value().payload, payload);
+  EXPECT_EQ(seg.Locate(1).value(), ref.pos(1));
+
+  // A small record still fits in the leftover space.
+  auto small = seg.Insert(key, Bytes(100));
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small.value(), ref.Insert(key, Bytes(100)).value());
+  EXPECT_TRUE(seg.CheckInvariants());
 }
 
 // ---------------------------------------------------------- SegmentManager
