@@ -125,6 +125,8 @@ struct ScenarioResult {
   // the structured copies here carry the minimal failing sub-histories.
   int64_t history_ops = 0;
   int history_keys_checked = 0;
+  /// Always 0: the checker decides every key exactly. Kept only for
+  /// readers that still sum it.
   int history_keys_over_budget = 0;
   std::vector<HistoryViolation> history_violations;
 };

@@ -23,8 +23,6 @@ const char* KindName(OpKind k) {
       return "read";
     case OpKind::kWrite:
       return "write";
-    case OpKind::kDelete:
-      return "delete";
     case OpKind::kTxn:
       return "txn";
   }

@@ -14,7 +14,7 @@ namespace wattdb::chaos {
 /// transaction markers from workloads whose transactions are not register
 /// ops (TPC-C); the linearizability checker skips them, but they land in
 /// history dumps so a violation's surroundings are visible.
-enum class OpKind { kRead, kWrite, kDelete, kTxn };
+enum class OpKind { kRead, kWrite, kTxn };
 
 /// How the operation ended, from the *client's* point of view — the only
 /// view a history checker may trust.
@@ -36,6 +36,8 @@ enum class OpOutcome {
 /// time, the register op it performed, and its outcome. Payloads of the
 /// history workload encode (key, seq), so `seq` identifies the value: for
 /// writes the value written, for reads the value observed (0 = absent).
+/// Every write carries a seq no other write or initial value uses — the
+/// checker relies on it to know which write each read observed.
 struct HistoryOp {
   uint64_t id = 0;
   int client = 0;
@@ -78,7 +80,7 @@ class HistoryRecorder {
 
 /// One linearizability (or replica-visibility) violation: the named
 /// anomaly and the minimal failing sub-history that exhibits it — the
-/// offending key's ops truncated at the earliest cut time where the search
+/// offending key's ops truncated at the earliest cut time where the check
 /// already fails, so a report is diagnosable without replaying the seed.
 struct HistoryViolation {
   std::string anomaly;
@@ -90,15 +92,12 @@ struct HistoryViolation {
 struct HistoryCheckResult {
   std::vector<HistoryViolation> violations;
   int keys_checked = 0;
-  /// Keys whose Wing–Gong search exhausted its state budget; reported, not
-  /// failed — a budget miss is a cost problem, never evidence of a bug.
-  int keys_over_budget = 0;
   int64_t ops_checked = 0;
 };
 
-/// Check `recorder`'s history for per-key register linearizability
-/// (Wing–Gong style search; per-key independence keeps the cost
-/// tractable). Ops with OpOutcome::kFailed must never be observed; ops
+/// Check `recorder`'s history for per-key register linearizability,
+/// deciding every key exactly in O(n log n) (the zone rule of Gibbons &
+/// Korach; it needs the unique write values described at HistoryOp). Ops with OpOutcome::kFailed must never be observed; ops
 /// with kIndeterminate may take effect or not; reads served by warm
 /// replicas are held to the relaxed bounded-staleness visibility rules
 /// (definite anomalies only) instead of the strict register semantics.

@@ -1,22 +1,24 @@
-// Per-key register linearizability checking of recorded histories
-// (Wing & Gong 1993 style state-space search, with the memoization of
-// Lowe 2017). The register semantics: a committed write sets the value, a
-// committed delete clears it, a committed read must observe the current
-// value at some instant within its [invocation, response] window.
+// Per-key register linearizability checking of recorded histories. The
+// register semantics: a committed write sets the value, a committed read
+// must observe the current value at some instant within its [invocation,
+// response] window.
 //
-// Per-key independence decomposition keeps the search tractable: register
-// ops on different keys commute, so a history is linearizable iff each
-// key's sub-history is — and each sub-history is small even when the full
-// history has tens of thousands of ops.
+// Per-key independence decomposition: register ops on different keys
+// commute, so a history is linearizable iff each key's sub-history is.
+// Each key is then decided exactly, in O(n log n), by the zone rule of
+// Gibbons & Korach ("Testing Shared Memories", SIAM J. Comput. 1997): every
+// write installs a distinct value (one seq counter feeds the load and all
+// writes), so the write each read observed is known, and with a known
+// read-mapping a register's linearizability needs no search.
 //
 // Outcome handling follows the client's knowledge: kFailed ops definitely
 // had no effect (observing their value is a violation on its own),
 // kIndeterminate ops may or may not have taken effect (infinite response
-// time, and the search may omit them entirely), and reads served by
-// bounded-staleness warm replicas are exempt from the strict register
-// check — they get the relaxed visibility rules in CheckReplicaRead,
-// which flags only *definite* anomalies so a legitimately stale (but
-// bounded) replica read never fails the scenario.
+// time; with unique values one took effect iff some read observed it),
+// and reads served by bounded-staleness warm replicas are exempt from the
+// strict register check — they get the relaxed visibility rules in
+// CheckReplicaRead, which flags only *definite* anomalies so a
+// legitimately stale (but bounded) replica read never fails the scenario.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,7 +26,8 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "chaos/history.h"
@@ -34,128 +37,91 @@ namespace wattdb::chaos {
 namespace {
 
 constexpr SimTime kInfTime = std::numeric_limits<SimTime>::max();
+constexpr SimTime kNegInfTime = std::numeric_limits<SimTime>::min();
 
-/// One op prepared for the search: response lifted to infinity for
-/// indeterminate outcomes, plus whether the search may omit it.
-struct SearchOp {
+/// One strict op of a key. An op that may never have taken effect (a
+/// kIndeterminate write, or one still pending at a truncation cut) has its
+/// response lifted to infinity: no real-time order follows from it.
+struct StrictOp {
   const HistoryOp* op = nullptr;
   SimTime inv = 0;
   SimTime resp = kInfTime;
-  bool optional = false;  ///< kIndeterminate: may never have taken effect.
 };
 
-/// Search state: which ops are settled (linearized or omitted) and the
-/// register value they produced. Two interleavings reaching the same
-/// (settled-set, value) pair are equivalent for everything that follows,
-/// so the pair is the memo key.
-struct SearchState {
-  std::vector<uint64_t> mask;
-  uint64_t value = 0;
-
-  friend bool operator==(const SearchState& a, const SearchState& b) {
-    return a.value == b.value && a.mask == b.mask;
-  }
-};
-
-struct SearchStateHash {
-  size_t operator()(const SearchState& s) const {
-    uint64_t h = s.value * 0x9e3779b97f4a7c15ull;
-    for (uint64_t w : s.mask) {
-      h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-bool MaskGet(const std::vector<uint64_t>& m, size_t i) {
-  return (m[i / 64] >> (i % 64)) & 1;
-}
-
-void MaskSet(std::vector<uint64_t>* m, size_t i) {
-  (*m)[i / 64] |= uint64_t{1} << (i % 64);
-}
-
-/// Effect of settling `op` on the register (writes install their seq,
-/// deletes clear, reads leave it).
-uint64_t Apply(const SearchOp& s, uint64_t value) {
-  switch (s.op->kind) {
-    case OpKind::kWrite:
-      return s.op->seq;
-    case OpKind::kDelete:
-      return 0;
-    default:
-      return value;
-  }
-}
-
-/// Iterative-deepening-free DFS over linearization orders with state
-/// memoization. Returns true when a valid linearization exists; sets
-/// `over_budget` (and returns true, i.e. no violation claimed) when the
-/// state budget is exhausted first.
-bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
-                  int64_t* budget, bool* over_budget) {
-  const size_t n = ops.size();
-  if (n == 0) return true;
-  const size_t words = (n + 63) / 64;
-
-  std::unordered_set<SearchState, SearchStateHash> seen;
-  struct Frame {
-    SearchState state;
-    size_t settled = 0;
+/// Exact check of one key's strict ops against a register that held
+/// `initial` (0 = absent) before the window. Each value's cluster — its
+/// write plus the reads that observed it — occupies the register from the
+/// write to the last read, so it must cover its zone: from the cluster's
+/// earliest response to its latest invocation. A zone whose earliest
+/// response comes first is *forward*: the value provably held across it,
+/// so no other forward zone may overlap it and no other cluster may fit
+/// wholly inside it. Otherwise the zone is *backward*: the whole cluster
+/// can sit at one instant anywhere in it, and only needs room outside
+/// every forward zone. Closed intervals throughout: ops that merely touch
+/// are concurrent, matching the real-time order a linearization honours.
+/// An indeterminate write no read observed needs no special case: its
+/// infinite response makes its zone a backward one that never ends, which
+/// no forward zone can contain — it is as good as dropped.
+bool Linearizable(const std::vector<StrictOp>& ops, uint64_t initial) {
+  struct Cluster {
+    SimTime write_inv = kInfTime;  ///< Never invoked until a write shows up.
+    SimTime min_read_resp = kInfTime;
+    SimTime min_resp = kInfTime;
+    SimTime max_inv = kNegInfTime;
   };
-  std::vector<Frame> stack;
-  stack.push_back({SearchState{std::vector<uint64_t>(words, 0), initial}, 0});
-
-  while (!stack.empty()) {
-    if (--(*budget) <= 0) {
-      *over_budget = true;
-      return true;
-    }
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-    if (f.settled == n) return true;
-    if (!seen.insert(f.state).second) continue;
-
-    // Earliest response among unsettled ops: any op invoked after it
-    // strictly follows an unsettled op in real time and cannot go next.
-    SimTime frontier = kInfTime;
-    for (size_t i = 0; i < n; ++i) {
-      if (!MaskGet(f.state.mask, i)) frontier = std::min(frontier, ops[i].resp);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (MaskGet(f.state.mask, i)) continue;
-      if (ops[i].inv > frontier) continue;  // Some unsettled op precedes it.
-      const SearchOp& s = ops[i];
-      if (s.op->kind == OpKind::kRead) {
-        if (s.op->seq == f.state.value) {
-          Frame next = f;
-          MaskSet(&next.state.mask, i);
-          next.settled = f.settled + 1;
-          stack.push_back(std::move(next));
-        }
-      } else {
-        Frame next = f;
-        MaskSet(&next.state.mask, i);
-        next.state.value = Apply(s, f.state.value);
-        next.settled = f.settled + 1;
-        stack.push_back(std::move(next));
-      }
-      if (s.optional) {
-        // The indeterminate op never took effect: settle it with no change.
-        Frame skip = f;
-        MaskSet(&skip.state.mask, i);
-        skip.settled = f.settled + 1;
-        stack.push_back(std::move(skip));
-      }
+  std::unordered_map<uint64_t, Cluster> clusters;
+  // The initial value is a write that completed at -infinity.
+  Cluster& load = clusters[initial];
+  load.write_inv = kNegInfTime;
+  load.min_resp = kNegInfTime;
+  for (const StrictOp& s : ops) {
+    Cluster& c = clusters[s.op->seq];
+    c.min_resp = std::min(c.min_resp, s.resp);
+    c.max_inv = std::max(c.max_inv, s.inv);
+    if (s.op->kind == OpKind::kWrite) {
+      c.write_inv = s.inv;
+    } else {
+      c.min_read_resp = std::min(c.min_read_resp, s.resp);
     }
   }
-  return false;
+
+  using Zone = std::pair<SimTime, SimTime>;  ///< [lo, hi]
+  std::vector<Zone> forward;
+  std::vector<Zone> backward;
+  for (const auto& [value, c] : clusters) {
+    // A read that responded before its write was invoked — or of a value
+    // nobody wrote, whose write is never invoked — observed no write.
+    if (c.min_read_resp < c.write_inv) return false;
+    if (c.min_resp < c.max_inv) {
+      forward.emplace_back(c.min_resp, c.max_inv);
+    } else {
+      backward.emplace_back(c.max_inv, c.min_resp);
+    }
+  }
+
+  // Disjoint forward zones form a chain once sorted by start, so checking
+  // neighbours finds any strict overlap.
+  std::sort(forward.begin(), forward.end());
+  for (size_t i = 1; i < forward.size(); ++i) {
+    if (forward[i].first < forward[i - 1].second) return false;
+  }
+  // Only the last forward zone starting before a backward zone's start can
+  // strictly contain it.
+  for (const Zone& b : backward) {
+    auto it = std::lower_bound(
+        forward.begin(), forward.end(), b.first,
+        [](const Zone& f, SimTime t) { return f.first < t; });
+    if (it != forward.begin() && b.second < std::prev(it)->second) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// The op completing at cut time `t` — the op a minimal failing truncation
 /// newly exposed (every earlier cut passed).
-const HistoryOp* OpRespondingAt(const std::vector<SearchOp>& ops, SimTime t) {
-  for (const SearchOp& s : ops) {
+const HistoryOp* OpRespondingAt(const std::vector<StrictOp>& ops, SimTime t) {
+  for (const StrictOp& s : ops) {
     if (s.resp == t) return s.op;
   }
   return nullptr;
@@ -164,7 +130,7 @@ const HistoryOp* OpRespondingAt(const std::vector<SearchOp>& ops, SimTime t) {
 /// Human name for the anomaly the failing (sub-)history exhibits, keyed on
 /// the offending op. Falls back to the generic statement when the shape is
 /// not one of the recognizable read anomalies.
-std::string NameAnomaly(const std::vector<SearchOp>& ops,
+std::string NameAnomaly(const std::vector<StrictOp>& ops,
                         const HistoryOp* offender, Key key) {
   const std::string where = "key " + std::to_string(key);
   if (offender == nullptr || offender->kind != OpKind::kRead) {
@@ -173,12 +139,10 @@ std::string NameAnomaly(const std::vector<SearchOp>& ops,
   }
   // Writes that *definitely* preceded the offending read (responded before
   // it was invoked) — what the read was at minimum required to reflect.
-  const SearchOp* latest_prior_write = nullptr;
-  for (const SearchOp& s : ops) {
-    if (s.op->kind != OpKind::kWrite && s.op->kind != OpKind::kDelete) {
-      continue;
-    }
-    if (s.optional || s.resp >= offender->invoked_at) continue;
+  const StrictOp* latest_prior_write = nullptr;
+  for (const StrictOp& s : ops) {
+    if (s.op->kind != OpKind::kWrite) continue;
+    if (s.resp >= offender->invoked_at) continue;
     if (latest_prior_write == nullptr || s.resp > latest_prior_write->resp) {
       latest_prior_write = &s;
     }
@@ -188,7 +152,6 @@ std::string NameAnomaly(const std::vector<SearchOp>& ops,
       std::to_string(offender->invoked_at) + "," +
       std::to_string(offender->responded_at) + "]us)";
   if (latest_prior_write != nullptr &&
-      latest_prior_write->op->kind == OpKind::kWrite &&
       latest_prior_write->op->seq != offender->seq) {
     if (offender->seq == 0) {
       return "lost read on " + where + ": " + read_desc +
@@ -208,12 +171,10 @@ std::string NameAnomaly(const std::vector<SearchOp>& ops,
 
 /// Everything the checker knows about one key.
 struct KeySlice {
-  std::vector<SearchOp> strict;          ///< Owner reads + effectful writes.
+  std::vector<StrictOp> strict;          ///< Owner reads + effectful writes.
   std::vector<const HistoryOp*> replica_reads;
   std::set<uint64_t> failed_seqs;        ///< Values that must never surface.
-  std::set<uint64_t> written_seqs;       ///< ok/indeterminate write values.
   std::map<uint64_t, SimTime> write_invoked;  ///< seq -> invocation time.
-  SimTime first_delete_inv = kInfTime;
   bool has_initial = false;
   uint64_t initial = 0;
 };
@@ -244,14 +205,14 @@ std::string CheckObservedValue(const KeySlice& ks, const HistoryOp& read) {
 
 /// Relaxed visibility for bounded-staleness replica reads: only definite
 /// anomalies fail. A replica serves a copy taken no earlier than the
-/// recorded window's start, so a key present in the initial load (and
-/// never deleted) can never legitimately read as absent — but observing
+/// recorded window's start, and nothing deletes a history key, so a key
+/// present in the initial load can never legitimately read as absent — but
+/// observing
 /// any *older committed* value is within the staleness bound's license.
 std::string CheckReplicaRead(const KeySlice& ks, const HistoryOp& read) {
   const std::string bad = CheckObservedValue(ks, read);
   if (!bad.empty()) return "replica " + bad;
-  if (read.seq == 0 && ks.has_initial &&
-      ks.first_delete_inv > read.responded_at) {
+  if (read.seq == 0 && ks.has_initial) {
     return "replica read on key " + std::to_string(read.key) +
            " observed the key absent although it was loaded before the "
            "window and never deleted";
@@ -261,43 +222,41 @@ std::string CheckReplicaRead(const KeySlice& ks, const HistoryOp& read) {
 
 /// Minimal failing sub-history: truncate the key's ops at successive
 /// response times (ops invoked after the cut drop out; ops still pending
-/// at the cut become optional, as an unfinished op may never take effect)
-/// and keep the earliest cut that already fails. Sound because truncating
-/// a linearizable history this way leaves it linearizable — so the first
-/// failing cut pins the op that breaks it.
+/// at the cut lose their response, as an unfinished op may never take
+/// effect) and keep the earliest cut that already fails. Sound because
+/// truncating a linearizable history this way leaves it linearizable — so
+/// the first failing cut pins the op that breaks it.
 struct Truncation {
-  std::vector<SearchOp> ops;
+  std::vector<StrictOp> ops;
   SimTime cut = kInfTime;
   const HistoryOp* offender = nullptr;
 };
 
-Truncation MinimalFailingTruncation(const std::vector<SearchOp>& full,
-                                    uint64_t initial, int64_t* budget,
-                                    bool* over_budget) {
+Truncation MinimalFailingTruncation(const std::vector<StrictOp>& full,
+                                    uint64_t initial) {
   std::vector<SimTime> cuts;
-  for (const SearchOp& s : full) {
+  for (const StrictOp& s : full) {
     if (s.resp != kInfTime) cuts.push_back(s.resp);
   }
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   for (SimTime cut : cuts) {
-    std::vector<SearchOp> sub;
-    for (const SearchOp& s : full) {
+    std::vector<StrictOp> sub;
+    for (const StrictOp& s : full) {
       if (s.inv > cut) continue;
-      SearchOp t = s;
+      StrictOp t = s;
       if (s.resp > cut) {
         if (s.op->kind == OpKind::kRead) continue;  // Hadn't observed yet.
-        t.resp = kInfTime;
-        t.optional = true;  // Still pending at the cut: effect uncertain.
+        t.resp = kInfTime;  // Still pending at the cut: effect uncertain.
       }
       sub.push_back(t);
     }
-    if (!Linearizable(sub, initial, budget, over_budget)) {
+    if (!Linearizable(sub, initial)) {
       return Truncation{std::move(sub), cut, OpRespondingAt(full, cut)};
     }
-    if (*over_budget) break;
   }
-  // Budget ran dry (or numeric edge): fall back to the whole key history.
+  // Not reached for a failing `full`: the last cut drops only indeterminate
+  // writes invoked after every response, which no read can have observed.
   return Truncation{full, kInfTime, nullptr};
 }
 
@@ -318,24 +277,17 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
     KeySlice& ks = keys[op.key];
     ++result.ops_checked;
     switch (op.kind) {
-      case OpKind::kWrite:
-      case OpKind::kDelete: {
+      case OpKind::kWrite: {
         if (op.outcome == OpOutcome::kFailed) {
           ks.failed_seqs.insert(op.seq);
           break;
         }
-        if (op.kind == OpKind::kWrite) {
-          ks.written_seqs.insert(op.seq);
-          ks.write_invoked[op.seq] = op.invoked_at;
-        } else {
-          ks.first_delete_inv = std::min(ks.first_delete_inv, op.invoked_at);
-        }
-        SearchOp s;
+        ks.write_invoked[op.seq] = op.invoked_at;
+        StrictOp s;
         s.op = &op;
         s.inv = op.invoked_at;
         s.resp = op.outcome == OpOutcome::kIndeterminate ? kInfTime
                                                          : op.responded_at;
-        s.optional = op.outcome == OpOutcome::kIndeterminate;
         ks.strict.push_back(s);
         break;
       }
@@ -345,7 +297,7 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
           ks.replica_reads.push_back(&op);
           break;
         }
-        SearchOp s;
+        StrictOp s;
         s.op = &op;
         s.inv = op.invoked_at;
         s.resp = op.responded_at;
@@ -358,22 +310,21 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
   }
 
   // --- Check every key ---------------------------------------------------
-  constexpr int64_t kBudgetPerKey = 400000;
   for (auto& [key, ks] : keys) {
     ++result.keys_checked;
 
     // Definite-anomaly screens first: they are cheap, they cover replica
-    // reads the strict search never sees, and they produce the sharpest
+    // reads the strict check never sees, and they produce the sharpest
     // anomaly names.
     bool screened = false;
-    for (const SearchOp& s : ks.strict) {
+    for (const StrictOp& s : ks.strict) {
       if (s.op->kind != OpKind::kRead) continue;
       const std::string bad = CheckObservedValue(ks, *s.op);
       if (!bad.empty()) {
         HistoryViolation v;
         v.anomaly = bad;
         v.key = key;
-        for (const SearchOp& o : ks.strict) v.sub_history.push_back(*o.op);
+        for (const StrictOp& o : ks.strict) v.sub_history.push_back(*o.op);
         result.violations.push_back(std::move(v));
         screened = true;
         break;
@@ -386,28 +337,22 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
         v.anomaly = bad;
         v.key = key;
         v.sub_history.push_back(*r);
-        for (const SearchOp& o : ks.strict) v.sub_history.push_back(*o.op);
+        for (const StrictOp& o : ks.strict) v.sub_history.push_back(*o.op);
         result.violations.push_back(std::move(v));
         break;
       }
     }
     if (screened) continue;
 
-    // Strict Wing–Gong search over the owner-served committed ops.
-    int64_t budget = kBudgetPerKey;
-    bool over_budget = false;
+    // Exact zone check over the owner-served committed ops.
     const uint64_t initial = ks.has_initial ? ks.initial : 0;
-    if (Linearizable(ks.strict, initial, &budget, &over_budget)) {
-      if (over_budget) ++result.keys_over_budget;
-      continue;
-    }
-    Truncation min_fail =
-        MinimalFailingTruncation(ks.strict, initial, &budget, &over_budget);
+    if (Linearizable(ks.strict, initial)) continue;
+    Truncation min_fail = MinimalFailingTruncation(ks.strict, initial);
     HistoryViolation v;
     v.anomaly = NameAnomaly(min_fail.ops, min_fail.offender, key);
     v.key = key;
     std::vector<const HistoryOp*> subset;
-    for (const SearchOp& s : min_fail.ops) subset.push_back(s.op);
+    for (const StrictOp& s : min_fail.ops) subset.push_back(s.op);
     std::sort(subset.begin(), subset.end(),
               [](const HistoryOp* a, const HistoryOp* b) {
                 return a->id < b->id;

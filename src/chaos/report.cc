@@ -80,7 +80,6 @@ std::string ToJson(const ScenarioResult& r) {
      << ",\"indeterminate_txns\":" << r.indeterminate_txns
      << ",\"history_ops\":" << r.history_ops
      << ",\"history_keys_checked\":" << r.history_keys_checked
-     << ",\"history_keys_over_budget\":" << r.history_keys_over_budget
      << ",\"sim_end_us\":" << r.sim_end << "}"
      << ",\"fault_schedule\":" << JsonStringArray(r.fault_schedule);
   os << ",\"history_violations\":[";

@@ -655,7 +655,6 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
     HistoryCheckResult hc = CheckHistory(recorder);
     result.history_ops = static_cast<int64_t>(recorder.size());
     result.history_keys_checked = hc.keys_checked;
-    result.history_keys_over_budget = hc.keys_over_budget;
     for (HistoryViolation& v : hc.violations) {
       result.violations.push_back("history: " + v.anomaly);
       result.history_violations.push_back(std::move(v));

@@ -15,6 +15,29 @@ namespace {
 /// One bootstrap stream chunk: sequential read at the owner, network hop,
 /// sequential write at the host — same pipeline as a migration copy.
 constexpr size_t kBootstrapChunkBytes = 1 << 20;
+
+/// The part of the owner's `log` past `rep.applied_lsn` that `rep` must
+/// apply: the source partition's data records within the replicated range,
+/// retargeted at the replica partition (RedoInto applies only records
+/// naming the partition it fills). Their shipped size lands in `*bytes`.
+std::vector<tx::LogRecord> ReplicaTail(const tx::LogManager& log,
+                                       const ReplicaInfo& rep, size_t* bytes) {
+  std::vector<tx::LogRecord> tail;
+  *bytes = 0;
+  for (tx::LogRecord& rec : log.Tail(rep.applied_lsn)) {
+    if (rec.partition != rep.src_partition) continue;
+    if (rec.type != tx::LogRecordType::kInsert &&
+        rec.type != tx::LogRecordType::kUpdate &&
+        rec.type != tx::LogRecordType::kDelete) {
+      continue;
+    }
+    if (!rep.range.Contains(rec.key)) continue;
+    *bytes += rec.Bytes();
+    rec.partition = rep.replica_partition;
+    tail.push_back(std::move(rec));
+  }
+  return tail;
+}
 }  // namespace
 
 const char* ToString(ReplicaState state) {
@@ -128,24 +151,8 @@ int64_t ReplicaManager::CatchUp(const std::shared_ptr<ReplicaInfo>& rep,
       !host->IsActive()) {
     return rep->lag_records;  // Stalled; promotion or validation decides.
   }
-  // The owner's shipped tail: only this partition's data records within
-  // the replicated range matter.
-  std::vector<tx::LogRecord> tail;
   size_t bytes = 0;
-  for (tx::LogRecord& rec : src->log().Tail(rep->applied_lsn)) {
-    if (rec.partition != rep->src_partition) continue;
-    if (rec.type != tx::LogRecordType::kInsert &&
-        rec.type != tx::LogRecordType::kUpdate &&
-        rec.type != tx::LogRecordType::kDelete) {
-      continue;
-    }
-    if (!rep->range.Contains(rec.key)) continue;
-    bytes += rec.Bytes();
-    // RedoInto applies only records naming the partition it fills —
-    // retarget the copy at the replica partition.
-    rec.partition = rep->replica_partition;
-    tail.push_back(std::move(rec));
-  }
+  std::vector<tx::LogRecord> tail = ReplicaTail(src->log(), *rep, &bytes);
   const int64_t lag = static_cast<int64_t>(tail.size());
   // Everything up to the owner's current tip has now been scanned;
   // records of other partitions need not be re-filtered next round.
@@ -460,20 +467,8 @@ int ReplicaManager::PromoteReplicasOf(NodeId dead) {
     // finishes redo before the flip fires.
     const uint64_t fence = cluster_->catalog().FenceRange(
         rep->table, rep->range, rep->src_partition);
-    std::vector<tx::LogRecord> tail;
     size_t bytes = 0;
-    for (tx::LogRecord& rec : src->log().Tail(rep->applied_lsn)) {
-      if (rec.partition != rep->src_partition) continue;
-      if (rec.type != tx::LogRecordType::kInsert &&
-          rec.type != tx::LogRecordType::kUpdate &&
-          rec.type != tx::LogRecordType::kDelete) {
-        continue;
-      }
-      if (!rep->range.Contains(rec.key)) continue;
-      bytes += rec.Bytes();
-      rec.partition = rep->replica_partition;
-      tail.push_back(std::move(rec));
-    }
+    std::vector<tx::LogRecord> tail = ReplicaTail(src->log(), *rep, &bytes);
     SimTime done = now;
     if (!tail.empty()) {
       const SimTime read_done = src->log().ChargeReplayRead(now, bytes);

@@ -95,24 +95,37 @@ TEST(ChaosSmoke, FencingOffIsCaughtDeterministically) {
 
 // ------------------------------------------------------ history checking
 
-// History mode on the PR-blocking tier: a subset of the fixed smoke list
-// re-run with the per-operation recorder and the per-key linearizability
-// checker armed. The subset is small because checking is superlinear in
-// contention — the full list stays on the cheap final-state tier, the
-// nightly soak covers breadth.
-constexpr uint64_t kHistorySmokeSeeds[] = {1, 3, 7, 19, 40};
+// History mode on the PR-blocking tier: the whole fixed smoke list re-run
+// with the per-operation recorder and the per-key linearizability checker
+// armed, plus two elastic soak seeds (5010, 5030) whose most contended keys
+// crowd many concurrent writes onto one key — the shape that defeats an
+// order search and that the exact per-key check decides in O(n log n).
+struct HistorySeed {
+  uint64_t seed;
+  bool elasticity;
+};
+
+std::vector<HistorySeed> HistorySmokeSeeds() {
+  std::vector<HistorySeed> seeds;
+  for (uint64_t seed : kSmokeSeeds) seeds.push_back({seed, false});
+  seeds.push_back({5010, true});
+  seeds.push_back({5030, true});
+  return seeds;
+}
 
 TEST(ChaosHistory, HistorySmokeSeedsPass) {
-  for (uint64_t seed : kHistorySmokeSeeds) {
+  for (const HistorySeed& s : HistorySmokeSeeds()) {
     chaos::ChaosConfig config;
-    config.seed = seed;
+    config.seed = s.seed;
     config.record_history = true;
+    config.elasticity = s.elasticity;
     const chaos::ScenarioResult result = chaos::RunScenario(config);
     EXPECT_TRUE(result.passed)
-        << "seed " << seed << " (replay with chaos_soak --seed=" << seed
-        << " --history):" << Joined(result.violations);
+        << "seed " << s.seed << " (replay with chaos_soak --seed=" << s.seed
+        << " --history" << (s.elasticity ? " --elasticity" : "")
+        << "):" << Joined(result.violations);
     EXPECT_GT(result.history_ops, 0)
-        << "seed " << seed << " recorded no operations — history mode is "
+        << "seed " << s.seed << " recorded no operations — history mode is "
         << "vacuous";
     EXPECT_GT(result.history_keys_checked, 0);
   }

@@ -2,14 +2,21 @@
 // (src/chaos/linearize.cc) on hand-built histories: known-linearizable
 // shapes must pass, known-broken shapes must fail with the right named
 // anomaly and a minimal failing sub-history, and the indeterminate /
-// replica-read relaxations must neither over- nor under-report.
+// replica-read relaxations must neither over- nor under-report. A
+// differential test holds the exact zone check to a Wing–Gong state-space
+// search on random single-key histories.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "chaos/history.h"
+#include "common/rng.h"
 
 namespace wattdb::chaos {
 namespace {
@@ -45,7 +52,6 @@ TEST(Linearize, SequentialRegisterPasses) {
   const HistoryCheckResult r = CheckHistory(rec);
   EXPECT_TRUE(r.violations.empty()) << r.violations.front().anomaly;
   EXPECT_EQ(r.keys_checked, 1);
-  EXPECT_EQ(r.keys_over_budget, 0);
 }
 
 TEST(Linearize, ConcurrentOverlapMayOrderEitherWay) {
@@ -210,6 +216,242 @@ TEST(Linearize, PerKeyIsolationReportsEveryBrokenKey) {
   EXPECT_EQ(r.violations[0].key, 1u);
   EXPECT_EQ(r.violations[1].key, 3u);
 }
+
+TEST(Linearize, ContendedKeyIsDecided) {
+  // A stale read hidden among 16 concurrent indeterminate writes that no
+  // read observed: every subset of them may or may not have landed, which
+  // is 2^16 orders for a search to rule out. The key must still be decided
+  // — and named — rather than left unchecked.
+  HistoryRecorder rec;
+  rec.Record(Op(OpKind::kWrite, 9, 1, 0, 1));
+  rec.Record(Op(OpKind::kWrite, 9, 2, 2, 3));
+  rec.Record(Op(OpKind::kRead, 9, 1, 5, 6));
+  for (uint64_t i = 0; i < 16; ++i) {
+    rec.Record(Op(OpKind::kWrite, 9, 100 + i, 0, 10,
+                  OpOutcome::kIndeterminate, 1 + static_cast<int>(i)));
+  }
+  const HistoryCheckResult r = CheckHistory(rec);
+  ASSERT_EQ(r.violations.size(), 1u);
+  EXPECT_NE(r.violations[0].anomaly.find("stale read on key 9"),
+            std::string::npos)
+      << r.violations[0].anomaly;
+}
+
+// ------------------------------------------------ differential reference
+
+// Wing & Gong 1993 state-space search with the memoization of Lowe 2017:
+// the checker this repository shipped before the zone check. It decides
+// any register history by trying linearization orders, so it needs no
+// unique-value assumption — which makes it the reference the zone check
+// is held to.
+
+constexpr SimTime kInfTime = std::numeric_limits<SimTime>::max();
+
+/// One op prepared for the search: response lifted to infinity for
+/// indeterminate outcomes, plus whether the search may omit it.
+struct SearchOp {
+  const HistoryOp* op = nullptr;
+  SimTime inv = 0;
+  SimTime resp = kInfTime;
+  bool optional = false;  ///< kIndeterminate: may never have taken effect.
+};
+
+/// Search state: which ops are settled (linearized or omitted) and the
+/// register value they produced. Two interleavings reaching the same
+/// (settled-set, value) pair are equivalent for everything that follows,
+/// so the pair is the memo key.
+struct SearchState {
+  std::vector<uint64_t> mask;
+  uint64_t value = 0;
+
+  friend bool operator==(const SearchState& a, const SearchState& b) {
+    return a.value == b.value && a.mask == b.mask;
+  }
+};
+
+struct SearchStateHash {
+  size_t operator()(const SearchState& s) const {
+    uint64_t h = s.value * 0x9e3779b97f4a7c15ull;
+    for (uint64_t w : s.mask) {
+      h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
+bool MaskGet(const std::vector<uint64_t>& m, size_t i) {
+  return (m[i / 64] >> (i % 64)) & 1;
+}
+
+void MaskSet(std::vector<uint64_t>* m, size_t i) {
+  (*m)[i / 64] |= uint64_t{1} << (i % 64);
+}
+
+/// Effect of settling `op` on the register (writes install their seq,
+/// reads leave it).
+uint64_t Apply(const SearchOp& s, uint64_t value) {
+  switch (s.op->kind) {
+    case OpKind::kWrite:
+      return s.op->seq;
+    default:
+      return value;
+  }
+}
+
+/// Iterative-deepening-free DFS over linearization orders with state
+/// memoization. Returns true when a valid linearization exists.
+bool WingGongReference(const std::vector<SearchOp>& ops, uint64_t initial) {
+  const size_t n = ops.size();
+  if (n == 0) return true;
+  const size_t words = (n + 63) / 64;
+
+  std::unordered_set<SearchState, SearchStateHash> seen;
+  struct Frame {
+    SearchState state;
+    size_t settled = 0;
+  };
+  std::vector<Frame> stack;
+  stack.push_back({SearchState{std::vector<uint64_t>(words, 0), initial}, 0});
+
+  while (!stack.empty()) {
+    Frame f = std::move(stack.back());
+    stack.pop_back();
+    if (f.settled == n) return true;
+    if (!seen.insert(f.state).second) continue;
+
+    // Earliest response among unsettled ops: any op invoked after it
+    // strictly follows an unsettled op in real time and cannot go next.
+    SimTime frontier = kInfTime;
+    for (size_t i = 0; i < n; ++i) {
+      if (!MaskGet(f.state.mask, i)) frontier = std::min(frontier, ops[i].resp);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (MaskGet(f.state.mask, i)) continue;
+      if (ops[i].inv > frontier) continue;  // Some unsettled op precedes it.
+      const SearchOp& s = ops[i];
+      if (s.op->kind == OpKind::kRead) {
+        if (s.op->seq == f.state.value) {
+          Frame next = f;
+          MaskSet(&next.state.mask, i);
+          next.settled = f.settled + 1;
+          stack.push_back(std::move(next));
+        }
+      } else {
+        Frame next = f;
+        MaskSet(&next.state.mask, i);
+        next.state.value = Apply(s, f.state.value);
+        next.settled = f.settled + 1;
+        stack.push_back(std::move(next));
+      }
+      if (s.optional) {
+        // The indeterminate op never took effect: settle it with no change.
+        Frame skip = f;
+        MaskSet(&skip.state.mask, i);
+        skip.settled = f.settled + 1;
+        stack.push_back(std::move(skip));
+      }
+    }
+  }
+  return false;
+}
+
+/// The strict ops of `rec` as the search sees them: failed writes and
+/// replica reads excluded, indeterminate writes optional with an infinite
+/// response — the same split CheckHistory makes.
+std::vector<SearchOp> SearchOpsOf(const HistoryRecorder& rec) {
+  std::vector<SearchOp> ops;
+  for (const HistoryOp& op : rec.ops()) {
+    if (op.outcome == OpOutcome::kFailed || op.from_replica) continue;
+    SearchOp s;
+    s.op = &op;
+    s.inv = op.invoked_at;
+    s.optional = op.outcome == OpOutcome::kIndeterminate;
+    s.resp = s.optional ? kInfTime : op.responded_at;
+    ops.push_back(s);
+  }
+  return ops;
+}
+
+/// A random single-key history of at most 10 ops over a short time span, so
+/// ties and overlaps are common. Writes take fresh seqs (the load, if any,
+/// holds seq 1) and may be ok, indeterminate or failed. Reads mostly
+/// observe the absent key, the load, or a write invoked before the read
+/// responded — stale or not — and now and then a later write's value or a
+/// value nobody wrote.
+HistoryRecorder RandomHistory(Rng* rng) {
+  HistoryRecorder rec;
+  const bool loaded = rng->UniformDouble() < 0.5;
+  if (loaded) rec.RecordInitial(0, 1);
+  const int n = static_cast<int>(rng->UniformInt(1, 10));
+  std::vector<HistoryOp> ops;
+  uint64_t next_seq = 2;
+  for (int i = 0; i < n; ++i) {
+    const SimTime inv = rng->UniformInt(0, 8);
+    const SimTime resp = inv + rng->UniformInt(0, 3);
+    if (rng->UniformDouble() < 0.45) {
+      const double roll = rng->UniformDouble();
+      const OpOutcome outcome = roll < 0.65   ? OpOutcome::kOk
+                                : roll < 0.9 ? OpOutcome::kIndeterminate
+                                             : OpOutcome::kFailed;
+      ops.push_back(Op(OpKind::kWrite, 0, next_seq++, inv, resp, outcome, i));
+    } else {
+      ops.push_back(Op(OpKind::kRead, 0, 0, inv, resp, OpOutcome::kOk, i));
+    }
+  }
+  for (HistoryOp& read : ops) {
+    if (read.kind != OpKind::kRead) continue;
+    if (rng->UniformDouble() < 0.03) {
+      read.seq = 999;
+      continue;
+    }
+    const bool any_write = rng->UniformDouble() < 0.1;
+    std::vector<uint64_t> values = {0};
+    if (loaded) values.push_back(1);
+    for (const HistoryOp& w : ops) {
+      if (w.kind == OpKind::kWrite &&
+          (any_write || w.invoked_at <= read.responded_at)) {
+        values.push_back(w.seq);
+      }
+    }
+    read.seq =
+        values[rng->UniformInt(0, static_cast<int64_t>(values.size()) - 1)];
+  }
+  for (const HistoryOp& op : ops) rec.Record(op);
+  return rec;
+}
+
+/// The history as JSON lines, for a failure message.
+std::string Dump(const HistoryRecorder& rec) {
+  std::string out = rec.initial().empty() ? "\n  key absent before the window"
+                                          : "\n  key loaded with seq 1";
+  for (const HistoryOp& op : rec.ops()) out += "\n  " + ToJson(op);
+  return out;
+}
+
+class LinearizeDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LinearizeDifferentialTest, AgreesWithWingGongReference) {
+  constexpr int kHistories = 20000;
+  Rng rng(GetParam());
+  int linearizable = 0;
+  for (int h = 0; h < kHistories; ++h) {
+    const HistoryRecorder rec = RandomHistory(&rng);
+    const uint64_t initial = rec.initial().empty() ? 0 : 1;
+    const bool reference = WingGongReference(SearchOpsOf(rec), initial);
+    const bool checked = CheckHistory(rec).violations.empty();
+    ASSERT_EQ(checked, reference) << "history " << h << " of seed "
+                                  << GetParam() << " (reference says "
+                                  << (reference ? "" : "not ")
+                                  << "linearizable):" << Dump(rec);
+    if (reference) ++linearizable;
+  }
+  // Both verdicts must be well represented, or agreement proves little.
+  EXPECT_GE(linearizable, kHistories / 4);
+  EXPECT_GE(kHistories - linearizable, kHistories / 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LinearizeDifferentialTest,
+                         ::testing::Values(1, 7, 42, 2024, 48611));
 
 }  // namespace
 }  // namespace wattdb::chaos

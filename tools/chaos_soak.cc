@@ -189,9 +189,6 @@ int main(int argc, char** argv) {
       if (args.history) {
         std::cout << " history_ops=" << result.history_ops
                   << " keys_checked=" << result.history_keys_checked;
-        if (result.history_keys_over_budget > 0) {
-          std::cout << " keys_over_budget=" << result.history_keys_over_budget;
-        }
       }
       std::cout << " wall=" << ms << "ms)\n";
     } else {
