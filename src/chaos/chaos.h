@@ -113,6 +113,8 @@ struct ScenarioResult {
   int partitions_injected = 0;
   int restarts_injected = 0;
   int nodes_declared_dead = 0;
+  /// Restarts the master issued itself (Master::auto_restarts()).
+  int auto_restarts = 0;
   int replicas_promoted = 0;
   uint64_t stale_route_refusals = 0;
   uint64_t committed_txns = 0;

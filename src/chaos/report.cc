@@ -73,6 +73,7 @@ std::string ToJson(const ScenarioResult& r) {
      << ",\"partitions_injected\":" << r.partitions_injected
      << ",\"restarts_injected\":" << r.restarts_injected
      << ",\"nodes_declared_dead\":" << r.nodes_declared_dead
+     << ",\"auto_restarts\":" << r.auto_restarts
      << ",\"replicas_promoted\":" << r.replicas_promoted
      << ",\"stale_route_refusals\":" << r.stale_route_refusals
      << ",\"committed_txns\":" << r.committed_txns

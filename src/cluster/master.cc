@@ -7,10 +7,8 @@
 namespace wattdb::cluster {
 
 namespace {
-/// Give up re-issuing a restart / re-planning a drain after this many
-/// attempts — a node that cannot come back (or empty) by then is left to
-/// the operator instead of looping forever.
-constexpr int kMaxHealAttempts = 10;
+/// Give up re-planning a drain after this many attempts — a node that
+/// cannot empty by then is left to the operator instead of looping forever.
 constexpr int kMaxDrainAttempts = 5;
 }  // namespace
 
@@ -49,7 +47,8 @@ Master::Master(Cluster* cluster, Repartitioner* repartitioner,
     : cluster_(cluster),
       repartitioner_(repartitioner),
       policy_(policy),
-      monitor_(cluster) {}
+      monitor_(cluster),
+      nodes_(static_cast<size_t>(cluster->num_nodes())) {}
 
 void Master::Start() {
   if (running_) return;
@@ -71,8 +70,23 @@ void Master::Emit(ControlEventType type, NodeId node, std::string detail) {
   if (event_listener_) event_listener_(control_events_.back());
 }
 
+void Master::SetStatus(NodeId node, NodeStatus to, std::string detail) {
+  NodeRecord& r = nodes_[node.value()];
+  if (r.status == NodeStatus::kExcluded) return;
+  r.status = to;
+  r.missed = 0;
+  if (to == NodeStatus::kDead) {
+    Emit(ControlEventType::kNodeDeclaredDead, node, std::move(detail));
+  } else if (to == NodeStatus::kHealing) {
+    Emit(ControlEventType::kRestartIssued, node, std::move(detail));
+  } else if (to == NodeStatus::kExcluded) {
+    Emit(ControlEventType::kNodeExcluded, node, std::move(detail));
+  }
+}
+
 void Master::ControlTick() {
   if (!running_) return;
+  AskDueRestarts();
   const auto stats = monitor_.Sample(policy_.stats_window);
   // Feed the forecaster with the busiest active node's CPU (the component
   // whose overload triggers repartitioning, §3.4).
@@ -100,110 +114,102 @@ void Master::ControlTick() {
                                    [this]() { ControlTick(); });
 }
 
+void Master::AskDueRestarts() {
+  std::vector<std::pair<SimTime, uint32_t>> due;  // (not before, node id)
+  for (uint32_t i = 0; i < nodes_.size(); ++i) {
+    const SimTime due_at = nodes_[i].restart_not_before;
+    if (nodes_[i].status == NodeStatus::kDead && cluster_->Now() >= due_at) {
+      due.push_back({due_at, i});
+    }
+  }
+  // Declaration order: one backoff for all, and a tick declares by node id.
+  std::sort(due.begin(), due.end());
+  for (const auto& d : due) AskRestart(NodeId(d.second));
+}
+
 void Master::CheckHeartbeats(const std::vector<NodeStats>& stats) {
   for (const auto& s : stats) {
+    NodeRecord& r = nodes_[s.node.value()];
     if (s.active) {
-      // A reporting node is (back) under watch; a heal in flight is over
-      // the moment the node shows up again.
-      if (!excluded_.count(s.node)) watched_.insert(s.node);
-      missed_.erase(s.node);
-      healing_.erase(s.node);
+      // Back under watch: no more restarts asked, any heal in flight is over.
+      SetStatus(s.node, NodeStatus::kWatched);
       continue;
     }
-    if (!watched_.count(s.node)) continue;   // Never active, or taken down
-                                             // by the master itself.
-    if (healing_.count(s.node)) continue;    // Restart in flight: booting
-                                             // and redo take a while.
-    const int misses = ++missed_[s.node];
-    if (misses == 1 && policy_.recovery.declare_dead_after > 1) {
-      Emit(ControlEventType::kNodeSuspected, s.node,
-           "missed 1 of " +
-               std::to_string(policy_.recovery.declare_dead_after) +
-               " heartbeat windows");
+    if (r.status == NodeStatus::kHealing &&
+        cluster_->node(s.node)->hardware().power_state() ==
+            hw::PowerState::kStandby) {
+      // Crashed inside its redo window: recovery dropped the restart.
+      DeclareDead(s.node, "restart lost to a crash before the node reported");
+      continue;
     }
-    if (misses >= policy_.recovery.declare_dead_after) DeclareDead(s.node);
+    if (r.status != NodeStatus::kWatched) continue;
+    const int k = policy_.recovery.declare_dead_after;
+    if (++r.missed == 1 && k > 1) {
+      Emit(ControlEventType::kNodeSuspected, s.node,
+           "missed 1 of " + std::to_string(k) + " heartbeat windows");
+    }
+    if (r.missed >= k) {
+      DeclareDead(s.node,
+                  "missed " + std::to_string(k) + " consecutive windows");
+    }
   }
 }
 
-void Master::DeclareDead(NodeId node) {
+void Master::DeclareDead(NodeId node, const std::string& why) {
   ++nodes_declared_dead_;
-  const int crashes = ++crash_counts_[node];
-  watched_.erase(node);
-  missed_.erase(node);
-  Emit(ControlEventType::kNodeDeclaredDead, node,
-       "missed " + std::to_string(policy_.recovery.declare_dead_after) +
-           " consecutive windows; crash #" + std::to_string(crashes));
+  NodeRecord& r = nodes_[node.value()];
+  SetStatus(node, NodeStatus::kDead,
+            why + "; crash #" + std::to_string(++r.detections));
   // The scheme abandons queued moves touching the node; idempotent when the
   // recovery manager already notified it at crash time.
   if (repartitioner_ != nullptr) repartitioner_->OnNodeFailure(node);
 
-  if (helper_assignments_.count(node) > 0) {
-    // Helpers hold no partitions — replace instead of restarting.
-    HandleHelperFailure(node);
+  const bool helper = helper_assignments_.count(node) > 0;
+  if (helper) {
+    HandleHelperFailure(node);  // No partitions: replace, never restart.
+  } else {
+    // Standbys hosted *on* the dead node lost their (unlogged) state and are
+    // discarded; standbys *of* the dead node's ranges are the fast failover
+    // path — catch up from its surviving WAL and flip ownership, instead of
+    // waiting out the full redo of a restart.
+    if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(node);
+    if (replica_hooks_.promote_for) replica_hooks_.promote_for(node);
+  }
+  if (helper || !policy_.recovery.auto_heal) {
+    SetStatus(node, NodeStatus::kUnwatched);  // No restart to ask for.
     return;
   }
-  // Standbys hosted *on* the dead node lost their (unlogged) state and are
-  // discarded; standbys *of* the dead node's ranges are the fast failover
-  // path — catch up from its surviving WAL and flip ownership, instead of
-  // waiting out the full redo of a restart.
-  if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(node);
-  if (policy_.replica.promote_on_failure && replica_hooks_.promote_for) {
-    replica_hooks_.promote_for(node);
-  }
-  if (!policy_.recovery.auto_heal) return;
 
   // Flaky after m detections: restart once more for data access, then
   // drain onto survivors and retire the node. Needs a scheme that can move
   // ownership; under physical partitioning restart-in-place is all we have.
-  const bool flaky = policy_.recovery.exclude_after_crashes > 0 &&
-                     crashes >= policy_.recovery.exclude_after_crashes &&
-                     repartitioner_ != nullptr &&
-                     repartitioner_->SupportsDrain();
-  healing_.insert(node);
-  if (policy_.recovery.restart_backoff > 0) {
-    cluster_->events().ScheduleAfter(
-        policy_.recovery.restart_backoff,
-        [this, node, flaky]() { IssueRestart(node, flaky, 0); });
-  } else {
-    IssueRestart(node, flaky, 0);
-  }
+  r.flaky = policy_.recovery.exclude_after_crashes > 0 &&
+            r.detections >= policy_.recovery.exclude_after_crashes &&
+            repartitioner_ != nullptr && repartitioner_->SupportsDrain();
+  r.restart_not_before = cluster_->Now() + policy_.recovery.restart_backoff;
+  if (policy_.recovery.restart_backoff == 0) AskRestart(node);
 }
 
-void Master::IssueRestart(NodeId node, bool drain_after, int attempt) {
-  if (!running_) return;
-  if (!healing_.count(node)) return;  // Came back on its own (e.g. a fault
-                                      // plan's auto-restart beat us to it).
-  Status issued = Status::FailedPrecondition("no restart hook wired");
-  if (restart_fn_) {
-    issued = restart_fn_(node, [this, node,
-                                drain_after](const std::string& detail) {
-      Emit(ControlEventType::kNodeRecovered, node, detail);
-      missed_.erase(node);
-      healing_.erase(node);
-      if (drain_after) StartDrainAndExclude(node, 0);
-    });
-  }
-  if (issued.ok()) {
-    ++auto_restarts_;
-    Emit(ControlEventType::kRestartIssued, node,
-         drain_after ? "flaky node: restarting for drain-and-exclude"
-                     : "restarting in place");
-    return;
-  }
-  // Busy (already booting) resolves itself — the heartbeat pass clears the
-  // healing flag once the node reports. Anything else is retried a bounded
-  // number of times, then handed back to the operator.
-  if (attempt + 1 >= kMaxHealAttempts) {
-    WATTDB_WARN("master: giving up restarting node "
-                << node.value() << " after " << kMaxHealAttempts
-                << " attempts: " << issued.ToString());
-    healing_.erase(node);
-    return;
-  }
-  cluster_->events().ScheduleAfter(
-      policy_.check_period, [this, node, drain_after, attempt]() {
-        IssueRestart(node, drain_after, attempt + 1);
+void Master::AskRestart(NodeId node) {
+  if (!restart_fn_) return;
+  const bool drain_after = nodes_[node.value()].flaky;
+  const Status issued =
+      restart_fn_(node, [this, node, drain_after](const std::string& detail) {
+        Emit(ControlEventType::kNodeRecovered, node, detail);
+        if (nodes_[node.value()].status == NodeStatus::kHealing) {
+          SetStatus(node, NodeStatus::kUnwatched);
+        }
+        // A recovery report is as good as a heartbeat; a dead node stays dead.
+        nodes_[node.value()].missed = 0;
+        if (drain_after) StartDrainAndExclude(node, 0);
       });
+  // Refused — "already active" (mostly: up but unreachable) or "already
+  // booting" — the node stays dead and is asked again next tick.
+  if (!issued.ok()) return;
+  ++auto_restarts_;
+  SetStatus(node, NodeStatus::kHealing,
+            drain_after ? "flaky node: restarting for drain-and-exclude"
+                        : "restarting in place");
 }
 
 void Master::StartDrainAndExclude(NodeId node, int attempt) {
@@ -227,11 +233,9 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
     if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(node);
     const Status off = cluster_->PowerOff(node);
     if (off.ok()) {
-      excluded_.insert(node);
-      Unwatch(node);
-      Emit(ControlEventType::kNodeExcluded, node,
-           "drained and powered off after " +
-               std::to_string(crash_count(node)) + " crashes");
+      SetStatus(node, NodeStatus::kExcluded,
+                "drained and powered off after " +
+                    std::to_string(crash_count(node)) + " crashes");
       return;
     }
     // Segments survived the drain (a survivor died mid-move, or writes
@@ -288,10 +292,7 @@ void Master::HandleHelperFailure(NodeId helper) {
                            assisted.end());
   }
 
-  if (!policy_.recovery.auto_heal || !policy_.recovery.replace_failed_helpers ||
-      orphaned.empty()) {
-    return;
-  }
+  if (!policy_.recovery.auto_heal || orphaned.empty()) return;
   // Recruit a standby replacement and wire it exactly as AttachHelpers
   // would have.
   NodeId replacement = NodeId::Invalid();
@@ -336,12 +337,9 @@ bool Master::EligibleRecruit(NodeId node) const {
   Node* n = cluster_->node(node);
   if (n == nullptr) return false;
   if (n->hardware().power_state() != hw::PowerState::kStandby) return false;
-  if (excluded_.count(node) > 0) return false;
   // A standby that is really an undetected (or not-yet-healed) crash must
   // not be booted without redo.
-  if (healing_.count(node) > 0 || missed_.count(node) > 0) return false;
-  if (is_down_fn_ && is_down_fn_(node)) return false;
-  return true;
+  return Record(node).trusted() && !(is_down_fn_ && is_down_fn_(node));
 }
 
 void Master::MaybeScaleOut(const std::vector<NodeStats>& stats) {
@@ -424,8 +422,8 @@ void Master::MaybeScaleIn(const std::vector<NodeStats>& stats) {
   repartitioner_->Drain(victim, [this, victim]() {
     if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(victim);
     const Status s = cluster_->PowerOff(victim);
-    if (s.ok()) Unwatch(victim);  // Taken down deliberately: no heartbeats
-                                  // expected, no false failure alarm.
+    // Taken down deliberately: no heartbeats expected, no false alarm.
+    if (s.ok()) SetStatus(victim, NodeStatus::kUnwatched);
     WATTDB_INFO("scale-in: node " << victim.value() << " off: "
                                   << s.ToString());
   });
@@ -687,18 +685,15 @@ std::vector<SegmentMove> Master::PlanHeatMoves(
               return a.heat > b.heat;
             });
 
-  // Eligible targets: active serving nodes that are not suspected, healing,
-  // or (per ground truth) down. A node must also still be under watch — a
-  // declared-dead node leaves `watched_` (and, once its restart attempts
-  // are exhausted, `healing_`) without ever becoming ground-truth down when
-  // the cause is a network partition, and data must not be moved onto a
-  // node the master cannot reach.
+  // Eligible targets: active serving nodes heard in the latest window and
+  // not down per ground truth. A node declared dead because of a network
+  // partition never becomes ground-truth down, and data must not be moved
+  // onto a node the master cannot reach.
   std::vector<std::pair<NodeId, double>> targets;
   for (Node* n : cluster_->ActiveNodes()) {
     if (n->id() == hot) continue;
     if (helper_assignments_.count(n->id()) > 0) continue;
-    if (watched_.count(n->id()) == 0) continue;
-    if (healing_.count(n->id()) > 0 || missed_.count(n->id()) > 0) continue;
+    if (!Record(n->id()).reporting()) continue;
     if (is_down_fn_ && is_down_fn_(n->id())) continue;
     auto it = node_heat.find(n->id());
     targets.push_back(
@@ -849,19 +844,13 @@ Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
           "node " + std::to_string(id.value()) +
           " cannot ship its own log to itself (helper and assisted)");
     }
-    // A crashed-or-excluded standby would take the assisted nodes' WAL
-    // stream to a disk that needs redo itself (or is about to power off
+    // A crashed, suspect or excluded node would take the assisted nodes'
+    // WAL stream to a disk that needs redo itself (or is about to power off
     // for good) — refuse instead of silently wiring a doomed helper.
-    if (excluded_.count(id) > 0) {
+    if (!Record(id).trusted() || (is_down_fn_ && is_down_fn_(id))) {
       return Status::FailedPrecondition(
           "helper node " + std::to_string(id.value()) +
-          " is excluded from duty");
-    }
-    if ((is_down_fn_ && is_down_fn_(id)) || healing_.count(id) > 0 ||
-        missed_.count(id) > 0) {
-      return Status::FailedPrecondition(
-          "helper node " + std::to_string(id.value()) +
-          " crashed and has not recovered");
+          " is excluded, or crashed and has not recovered");
     }
   }
   for (NodeId id : assisted) {
@@ -906,7 +895,7 @@ Status Master::DetachHelpers() {
     cluster_->node(a)->buffer().DetachRemoteTier();
   }
   for (NodeId h : active_helpers_) {
-    if (cluster_->PowerOff(h).ok()) Unwatch(h);
+    if (cluster_->PowerOff(h).ok()) SetStatus(h, NodeStatus::kUnwatched);
   }
   active_helpers_.clear();
   assisted_nodes_.clear();

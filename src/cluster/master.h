@@ -4,7 +4,6 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "admission/admission.h"
@@ -124,11 +123,9 @@ struct RecoveryPolicy {
   /// future recruitment. 0 disables (always restart in place). Requires a
   /// scheme with SupportsDrain(); otherwise restart-in-place is kept.
   int exclude_after_crashes = 0;
-  /// Wait between declaring a node dead and issuing its restart.
+  /// Wait between declaring a node dead and first asking for its restart.
+  /// A refused restart is asked again every control tick after that.
   SimTime restart_backoff = 0;
-  /// When an attached helper dies: after falling the assisted nodes back to
-  /// local logging, recruit a standby node as the replacement helper.
-  bool replace_failed_helpers = true;
 };
 
 /// Heat-driven rebalancing knobs (§3.4: the master correlates node load
@@ -173,11 +170,6 @@ struct ReplicaPolicy {
   /// Staleness bound: a replica lagging more than this many unapplied log
   /// records is pulled out of read fan-out until it catches back up.
   int64_t max_lag_records = 256;
-  /// Fan eligible reads out over owner + serving replicas (round-robin).
-  bool read_fanout = true;
-  /// On owner death, promote the freshest bootstrapped replica instead of
-  /// waiting for the owner's full WAL-tail redo.
-  bool promote_on_failure = true;
   /// A replica whose segment has cooled below heat_threshold is dropped
   /// only after staying cold this long (hysteresis against flapping).
   SimTime drop_cold_after = 30 * kUsPerSec;
@@ -352,12 +344,11 @@ class Master {
   int auto_restarts() const { return auto_restarts_; }
   int helper_failovers() const { return helper_failovers_; }
   /// Times the detector has declared `node` dead (the flaky counter).
-  int crash_count(NodeId node) const {
-    auto it = crash_counts_.find(node);
-    return it == crash_counts_.end() ? 0 : it->second;
-  }
+  int crash_count(NodeId node) const { return Record(node).detections; }
   /// Drained, powered off, and barred from future recruitment.
-  bool IsExcluded(NodeId node) const { return excluded_.count(node) > 0; }
+  bool IsExcluded(NodeId node) const {
+    return Record(node).status == NodeStatus::kExcluded;
+  }
 
   // --- Overload observers ---------------------------------------------------
   /// Sustained-overload episodes detected so far (kOverloadDetected events).
@@ -382,6 +373,37 @@ class Master {
   int segments_relaned() const { return segments_relaned_; }
 
  private:
+  /// The master's view of a node's lifecycle. The hardware power state is
+  /// not copied here; it is read from the node.
+  enum class NodeStatus {
+    kUnwatched,  ///< No reports expected: unseen, taken down, not healable.
+    kWatched,    ///< Seen active; missed windows count toward declaring dead.
+    kDead,       ///< Declared dead, no restart accepted: asked every tick.
+    kHealing,    ///< A restart (boot + redo) is in flight.
+    kExcluded,   ///< Drained, powered off, barred from duty for good.
+  };
+  struct NodeRecord {
+    NodeStatus status = NodeStatus::kUnwatched;
+    int missed = 0;      ///< Consecutive missed windows while watched.
+    int detections = 0;  ///< Times declared dead (crash_count()).
+    bool flaky = false;  ///< Drain and exclude once its restart recovers.
+    SimTime restart_not_before = 0;
+
+    /// Heard in the latest window.
+    bool reporting() const { return status == NodeStatus::kWatched && !missed; }
+    /// Nothing marks it failed: reporting, or simply not watched.
+    bool trusted() const {
+      return status == NodeStatus::kUnwatched || reporting();
+    }
+  };
+  const NodeRecord& Record(NodeId node) const {
+    static const NodeRecord kNone;
+    return node.value() < nodes_.size() ? nodes_[node.value()] : kNone;
+  }
+  /// The one place a status changes. Entering kDead, kHealing or kExcluded
+  /// emits its event with `detail`. Resets missed; kExcluded is final.
+  void SetStatus(NodeId node, NodeStatus to, std::string detail = "");
+
   void ControlTick();
   void MaybeScaleOut(const std::vector<NodeStats>& stats);
   void MaybeScaleIn(const std::vector<NodeStats>& stats);
@@ -411,24 +433,19 @@ class Master {
   bool MaybeRelaneHot(NodeId hot);
 
   // Self-healing internals.
+  /// Ask a restart of every dead node past restart_not_before, in the
+  /// order they were declared dead. Runs first in each control tick.
+  void AskDueRestarts();
   void CheckHeartbeats(const std::vector<NodeStats>& stats);
-  void DeclareDead(NodeId node);
-  /// Issue the restart of a declared-dead node, retrying while the node is
-  /// busy booting elsewhere; `drain_after` runs drain-and-exclude once
-  /// recovered (the flaky-node path).
-  void IssueRestart(NodeId node, bool drain_after, int attempt);
+  /// Count a crash of `node` and mark it dead; `why` opens the event detail.
+  void DeclareDead(NodeId node, const std::string& why);
+  /// Accepted: the node heals, then drains out if flaky. Refused: stays dead.
+  void AskRestart(NodeId node);
   void StartDrainAndExclude(NodeId node, int attempt);
   void HandleHelperFailure(NodeId helper);
-  /// A standby node the master may boot: not excluded, not a known-crashed
-  /// or suspected node.
+  /// A standby node the master may boot: trusted and not ground-truth down.
   bool EligibleRecruit(NodeId node) const;
   void Emit(ControlEventType type, NodeId node, std::string detail);
-  /// Stop expecting heartbeats from a node the master took down itself.
-  void Unwatch(NodeId node) {
-    watched_.erase(node);
-    missed_.erase(node);
-    healing_.erase(node);
-  }
 
   Cluster* cluster_;
   Repartitioner* repartitioner_;
@@ -452,16 +469,7 @@ class Master {
   ReplicaHooks replica_hooks_;
   std::function<void(const ControlEvent&)> event_listener_;
   std::vector<ControlEvent> control_events_;
-  /// Nodes seen active at least once and not deliberately taken down —
-  /// these are expected to report every window.
-  std::unordered_set<NodeId> watched_;
-  /// Consecutive missed windows per watched node.
-  std::unordered_map<NodeId, int> missed_;
-  /// Declared dead with a restart in flight; suppresses re-declaration
-  /// while the node boots and redoes.
-  std::unordered_set<NodeId> healing_;
-  std::unordered_set<NodeId> excluded_;
-  std::unordered_map<NodeId, int> crash_counts_;
+  std::vector<NodeRecord> nodes_;  ///< Indexed by node id.
   int nodes_declared_dead_ = 0;
   int auto_restarts_ = 0;
   int helper_failovers_ = 0;

@@ -192,10 +192,8 @@ void ReplicaManager::ApplyLogTails(SimTime now) {
       rep->state = ReplicaState::kCaughtUp;
       rep->caught_up_at = now;
       ++replicas_caught_up_;
-      if (policy_.read_fanout) {
-        (void)cluster_->catalog().SetReplicaServing(
-            rep->table, rep->replica_partition, true);
-      }
+      (void)cluster_->catalog().SetReplicaServing(
+          rep->table, rep->replica_partition, true);
       Emit(cluster::ControlEventType::kReplicaCaughtUp, rep->host,
            Describe(*rep) + " within staleness bound (lag " +
                std::to_string(rep->lag_records) + " records)");

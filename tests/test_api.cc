@@ -1139,6 +1139,79 @@ TEST(SelfHealing, AutoHealOffDetectsButNeverRestarts) {
   EXPECT_TRUE(db.recovery().IsDown(NodeId(1)));
 }
 
+// A partitioned node is up but cannot be heard: every restart the master
+// asks is refused as "already active". The master must keep asking, so the
+// restart lands once the node really crashes, however long that takes.
+TEST(SelfHealing, PartitionedNodeIsRestartedWhenItCrashesLater) {
+  auto opened = Db::Open(DbOptions()
+                             .WithNodes(4)
+                             .WithActiveNodes(2)
+                             .WithoutTpccLoad()
+                             .WithMasterLoop(HealingPolicy()));
+  ASSERT_TRUE(opened.ok());
+  Db& db = **opened;
+  ASSERT_TRUE(db.CreateKvTable("t", 64, 1024).ok());
+  db.RunFor(kUsPerSec);  // The detector observes node 1 alive.
+
+  ASSERT_TRUE(db.PartitionNode(NodeId(1)).ok());
+  db.RunFor(20 * kUsPerSec);  // 100 ticks of refused restarts.
+  EXPECT_EQ(db.master().nodes_declared_dead(), 1);
+  EXPECT_EQ(db.master().auto_restarts(), 0);
+
+  ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
+  db.RunFor(20 * kUsPerSec);
+  EXPECT_EQ(db.master().auto_restarts(), 1);
+  EXPECT_TRUE(db.cluster().node(NodeId(1))->IsActive());
+  EXPECT_FALSE(db.recovery().IsDown(NodeId(1)));
+}
+
+// A restart that dies inside its redo window is dropped by the recovery
+// subsystem. With a 300 ms tick no tick sees the node between boot and the
+// re-crash, so the master must notice the healing node back in standby and
+// restart it again.
+TEST(SelfHealing, RestartLostToACrashInsideRedoIsAskedAgain) {
+  cluster::MasterPolicy policy = HealingPolicy();
+  policy.check_period = 300 * kUsPerMs;
+  auto opened = Db::Open(DbOptions()
+                             .WithNodes(4)
+                             .WithActiveNodes(2)
+                             .WithoutTpccLoad()
+                             .WithMasterLoop(policy));
+  ASSERT_TRUE(opened.ok());
+  Db& db = **opened;
+  Session session = db.OpenSession();
+  StatusOr<TableId> table = db.CreateKvTable("t", 64, 1024);
+  ASSERT_TRUE(table.ok());
+  // A WAL tail on node 1 long enough that redo outlasts 1 ms.
+  for (Key k = 512; k < 1024; ++k) {
+    ASSERT_TRUE(session.Put(*table, k, std::vector<uint8_t>(64, 0x7E)).ok());
+  }
+  db.RunFor(kUsPerSec);
+  ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
+
+  SimTime restarted_at = -1;
+  while (restarted_at < 0 && db.Now() < 10 * kUsPerSec) {
+    db.RunFor(kUsPerSec / 10);
+    for (const auto& e : db.control_events()) {
+      if (e.type == cluster::ControlEventType::kRestartIssued) {
+        restarted_at = e.at;
+      }
+    }
+  }
+  ASSERT_GE(restarted_at, 0);
+  const SimTime boot = db.cluster().config().node_hw.boot_time_us;
+  db.RunFor(restarted_at + boot + kUsPerMs - db.Now());
+  ASSERT_TRUE(db.cluster().node(NodeId(1))->IsActive());
+  ASSERT_TRUE(db.recovery().IsDown(NodeId(1)));  // Still inside redo.
+  ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
+
+  db.RunFor(30 * kUsPerSec);
+  EXPECT_EQ(db.master().auto_restarts(), 2);
+  EXPECT_EQ(db.master().nodes_declared_dead(), 2);
+  EXPECT_TRUE(db.cluster().node(NodeId(1))->IsActive());
+  EXPECT_FALSE(db.recovery().IsDown(NodeId(1)));
+}
+
 TEST(SelfHealing, FlakyNodeIsDrainedAndExcluded) {
   cluster::MasterPolicy policy = HealingPolicy();
   policy.recovery.exclude_after_crashes = 2;

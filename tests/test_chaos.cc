@@ -99,7 +99,9 @@ TEST(ChaosSmoke, FencingOffIsCaughtDeterministically) {
 // with the per-operation recorder and the per-key linearizability checker
 // armed, plus two elastic soak seeds (5010, 5030) whose most contended keys
 // crowd many concurrent writes onto one key — the shape that defeats an
-// order search and that the exact per-key check decides in O(n log n).
+// order search and that the exact per-key check decides in O(n log n) —
+// and two seeds (7011, 7179) where the master's own restarts must outlast a
+// refused restart and a restart lost inside its redo window.
 struct HistorySeed {
   uint64_t seed;
   bool elasticity;
@@ -110,6 +112,12 @@ std::vector<HistorySeed> HistorySmokeSeeds() {
   for (uint64_t seed : kSmokeSeeds) seeds.push_back({seed, false});
   seeds.push_back({5010, true});
   seeds.push_back({5030, true});
+  // A node the master once could not restart (partitioned: "already
+  // active") crashes later and must still be restarted.
+  seeds.push_back({7011, false});
+  // A master-issued restart dies inside its redo window and must be asked
+  // again.
+  seeds.push_back({7179, false});
   return seeds;
 }
 

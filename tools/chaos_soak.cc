@@ -179,6 +179,7 @@ int main(int argc, char** argv) {
       std::cout << "seed " << seed << ": PASS (nodes=" << result.nodes
                 << " crashes=" << result.crashes_injected
                 << " partitions=" << result.partitions_injected
+                << " auto_restarts=" << result.auto_restarts
                 << " promoted=" << result.replicas_promoted
                 << " committed=" << result.committed_txns
                 << " fenced_refusals=" << result.stale_route_refusals;
